@@ -147,12 +147,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
     stream = run_over_socket(broker.address, core, rate=args.tick_rate,
                              idle_timeout=args.idle_timeout)
     socket_cmds: list[tuple[float, float]] = []
-    consumer = threading.Thread(target=lambda: socket_cmds.extend(stream))
+    received_at: list[float] = []
+
+    def consume() -> None:
+        for cmd in stream:
+            socket_cmds.append(cmd)
+            received_at.append(time.monotonic())
+
+    consumer = threading.Thread(target=consume)
     consumer.start()
     t_start = time.monotonic()
     published = publish_frames(frames, broker.address, rate=args.rate)
     consumer.join()
-    wall = time.monotonic() - t_start
+    # the stream's closing tick fires only after idle_timeout of quiet, so
+    # the clock stops at the command before it
+    wall = max(received_at[-2] - t_start, 0.0) if len(received_at) > 1 else 0.0
     broker.stop()
 
     twin_core = HeadUnitCore(cfg, route=args.route, stale_after=args.stale_after)

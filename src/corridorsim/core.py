@@ -9,7 +9,9 @@ works in SI units.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import yaml
@@ -25,7 +27,6 @@ __all__ = [
     "SpawnParams",
     "CorridorConfig",
     "VehicleState",
-    "SimClock",
     "mph_to_mps",
     "load_config",
     "load_config_file",
@@ -119,32 +120,31 @@ class RouteSegment:
 
 @dataclass(frozen=True)
 class RouteSpec:
-    """A one-lane route described as consecutive constant-limit segments."""
+    """A one-lane route described as consecutive constant-limit segments;
+    segment ends are summed once, left to right."""
 
     name: str
     flow_vps: float
     segments: tuple[RouteSegment, ...]
+    _ends: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_ends", tuple(accumulate(s.length for s in self.segments)))
 
     @property
     def length(self) -> float:
-        return sum(s.length for s in self.segments)
+        return self._ends[-1] if self._ends else 0.0
 
     def limit_at(self, s: float) -> float:
-        pos = 0.0
-        for seg in self.segments:
-            pos += seg.length
-            if s < pos:
-                return seg.limit
-        return self.segments[-1].limit
+        """Limit of the first segment whose end lies beyond s; the last
+        segment's limit at or past the route end."""
+        i = bisect_right(self._ends, s)
+        return self.segments[i if i < len(self._ends) else -1].limit
 
     def limit_boundaries(self) -> tuple[tuple[float, float], ...]:
         """(start position, limit) for each segment, in order."""
-        out = []
-        pos = 0.0
-        for seg in self.segments:
-            out.append((pos, seg.limit))
-            pos += seg.length
-        return tuple(out)
+        starts = (0.0,) + self._ends[:-1]
+        return tuple((pos, seg.limit) for pos, seg in zip(starts, self.segments))
 
 
 @dataclass(frozen=True)
@@ -186,12 +186,6 @@ class ConflictZoneSpec:
                 return ap
         return None
 
-    def lane_of(self, route: str) -> str:
-        ap = self.approach_for(route)
-        if ap is None:
-            raise KeyError(f"route {route!r} does not feed zone {self.index}")
-        return ap.lane
-
 
 @dataclass(frozen=True)
 class BaselineParams:
@@ -224,12 +218,13 @@ class CorridorConfig:
     zones: tuple[ConflictZoneSpec, ...]
     baseline: BaselineParams = field(default_factory=BaselineParams)
     spawn: SpawnParams = field(default_factory=SpawnParams)
+    _by_name: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):   # the first route of a name wins, as in a scan
+        object.__setattr__(self, "_by_name", {r.name: r for r in reversed(self.routes)})
 
     def route(self, name: str) -> RouteSpec:
-        for r in self.routes:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+        return self._by_name[name]
 
     @property
     def flows(self) -> dict[str, float]:
@@ -259,21 +254,7 @@ class VehicleState:
     route: str
     s: float
     v: float
-    u: float = 0.0
-    zone: int = 0
-    dist_traveled: float = 0.0
-
-
-@dataclass(frozen=True)
-class SimClock:
-    """Fixed-step clock; t is always step * dt computed fresh, never accumulated."""
-
-    step: int
-    dt: float
-
-    @property
-    def t(self) -> float:
-        return self.step * self.dt
+    u: float = 0.0    # control executed over the current step
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ integration interval.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from collections import defaultdict
@@ -44,36 +43,36 @@ SCHEDULE_HEADER = "vehicle,zone,t0,tm,tf,v_at_tm,relation,lane,truncated"
 STOP_SPEED = 0.1
 
 
-def format_row(row: tuple) -> str:
-    t, vid, route, s, v, u, zone = row
-    return f"{t:.3f},{vid},{route},{s:.9f},{v:.9f},{u:.9f},{zone}"
+_ROW_FORMAT = "%.3f,%d,%s,%.9f,%.9f,%.9f,%d\n"
+_CHUNK_ROWS = 8192   # bounds the transient text of one write
+
+
+def _trace_text(rows: list[tuple]):
+    yield TRACE_HEADER + "\n"
+    for i in range(0, len(rows), _CHUNK_ROWS):
+        yield "".join([_ROW_FORMAT % row for row in rows[i:i + _CHUNK_ROWS]])
 
 
 def write_trace(path: str, rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for row in rows:
-            fh.write(format_row(row) + "\n")
+        fh.writelines(_trace_text(rows))
 
 
 def trace_bytes(rows: list[tuple]) -> bytes:
-    buf = io.StringIO()
-    buf.write(TRACE_HEADER + "\n")
-    for row in rows:
-        buf.write(format_row(row) + "\n")
-    return buf.getvalue().encode()
+    return "".join(_trace_text(rows)).encode()
 
 
 def read_trace(path: str) -> list[tuple]:
     rows = []
+    routes: dict[str, str] = {}   # one string per route name, not one per row
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or ",".join(header) != TRACE_HEADER:
             raise ValueError(f"{path}: not a trace file (bad header)")
-        for rec in reader:
-            rows.append((float(rec[0]), int(rec[1]), rec[2], float(rec[3]),
-                         float(rec[4]), float(rec[5]), int(rec[6])))
+        for t, vid, route, s, v, u, zone in reader:
+            rows.append((float(t), int(vid), routes.setdefault(route, route), float(s),
+                         float(v), float(u), int(zone)))
     return rows
 
 

@@ -7,8 +7,9 @@ coordinators at control-zone entry, receive a merging time, and track the
 closed-form minimum-energy plan; outside control zones they fall back to
 the baseline follower with yielding disabled.
 
-Every step: spawn due arrivals, register new control-zone entrants (optimal
-mode), compute all controls from one state snapshot, emit trace rows, then
+Every step: spawn due arrivals, locate every vehicle once (zone windows,
+neighbour rows, control-zone entrants, which register in optimal mode),
+compute each control from that snapshot and emit its trace row, then
 integrate semi-implicitly (v first, then p with the new v). Time is always
 step * dt computed from the integer step, never accumulated.
 """
@@ -17,9 +18,10 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from corridorsim.core import (
     Bounds,
     ConflictZoneSpec,
     CorridorConfig,
+    RouteSpec,
     VehicleState,
 )
 from corridorsim.coordinator import ScheduleEntry, ZoneCoordinator
@@ -109,8 +112,7 @@ class Spawner:
 # baseline controller
 
 
-@dataclass(frozen=True)
-class StepContext:
+class StepContext(NamedTuple):
     """Per-vehicle snapshot data the baseline follower needs beyond its own
     route leader: desired speed, upcoming limit drops, the projected
     cross-route leader inside a shared-lane merging zone, and yield state."""
@@ -124,35 +126,31 @@ class StepContext:
     line_gap: Optional[float] = None                    # distance to the stop point
 
 
-def _idm(v: float, v_des: float, params: BaselineParams,
-         gap: Optional[float] = None, dv: float = 0.0) -> float:
+def _idm_brake(v: float, params: BaselineParams, gap: float, dv: float) -> float:
+    """Interaction term the IDM subtracts from the free-road acceleration."""
     a = params.max_accel
-    free = a * (1.0 - (v / max(v_des, 0.1)) ** params.speed_exponent)
-    if gap is None:
-        return free
     s_star = params.min_gap + v * params.headway \
         + v * dv / (2.0 * math.sqrt(a * params.comfort_decel))
     s_star = max(s_star, params.min_gap)
-    return free - a * (s_star / max(gap, 0.1)) ** 2
+    return a * (s_star / max(gap, 0.1)) ** 2
 
 
 def baseline_step(vehicle: VehicleState, leader: Optional[VehicleState],
                   params: BaselineParams, ctx: StepContext) -> float:
     """Car-following acceleration for one step, clipped to the global bounds."""
     v = vehicle.v
-    u = _idm(v, ctx.v_des, params)
+    u = free = params.max_accel * (1.0 - (v / max(ctx.v_des, 0.1)) ** params.speed_exponent)
     if leader is not None:
-        gap = leader.s - vehicle.s
-        u = min(u, _idm(v, ctx.v_des, params, gap, v - leader.v))
+        u = min(u, free - _idm_brake(v, params, leader.s - vehicle.s, v - leader.v))
     if ctx.projected is not None:
         gap, v_lead = ctx.projected
-        u = min(u, _idm(v, ctx.v_des, params, gap, v - v_lead))
+        u = min(u, free - _idm_brake(v, params, gap, v - v_lead))
     b = params.comfort_decel
     for dist, lim in ctx.limit_cuts:
         if v > lim + 1e-9 and dist <= (v * v - lim * lim) / (2.0 * b) + v * ctx.dt:
             u = min(u, max(-b, (lim - v) / ctx.dt))
     if ctx.yield_blocked and ctx.line_gap is not None:
-        u = min(u, _idm(v, ctx.v_des, params, max(ctx.line_gap, 0.01), v))
+        u = min(u, free - _idm_brake(v, params, max(ctx.line_gap, 0.01), v))
     return min(max(u, ctx.bounds.u_min), ctx.bounds.u_max)
 
 
@@ -173,26 +171,28 @@ def _time_to_cover(dist: float, v: float, accel: float, v_cap: float) -> float:
 # optimal controller
 
 
-def optimal_step(vehicle: VehicleState, entry: ScheduleEntry,
-                 coeffs: TrajectoryCoefficients, t: float, dt: float,
-                 bounds: Bounds, v_hold: float) -> tuple[float, bool]:
+def optimal_step(vehicle: VehicleState, coeffs: TrajectoryCoefficients,
+                 t: float, dt: float, bounds: Bounds,
+                 v_hold: float) -> tuple[float, bool, float]:
     """Position-tracking realization of a planned trajectory.
 
     The command targets the plan position at the end of the step, which
     makes the integrated gridpoint positions exact and keeps the executed
     control at the midpoint sample of the planned linear control. Past tm
-    the target extrapolates at the held merging speed. Returns (u, clamped).
+    the target extrapolates at the held merging speed. Returns (u, clamped,
+    p_plan), where p_plan is the plan position at min(t + dt, tm): the
+    reference the next step's position is checked against for drift.
     """
     tm = coeffs.tm
     if t + dt <= tm + 1e-12:
-        p_target = evaluate(coeffs, t + dt)[2]
+        p_target = p_plan = evaluate(coeffs, t + dt)[2]
     else:
-        p_end = evaluate(coeffs, tm)[2]
-        p_target = p_end + v_hold * (t + dt - tm)
+        p_plan = evaluate(coeffs, tm)[2]
+        p_target = p_plan + v_hold * (t + dt - tm)
     v_target = max((p_target - vehicle.s) / dt, 0.0)
     u = (v_target - vehicle.v) / dt
     u_clipped = min(max(u, bounds.u_min), bounds.u_max)
-    return u_clipped, abs(u - u_clipped) > 1e-9
+    return u_clipped, abs(u - u_clipped) > 1e-9, p_plan
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +213,81 @@ class SimResult:
         return self.spawned == self.exited + self.active_at_end
 
 
-@dataclass
+def _least_float(pred, guess: float) -> float:
+    """Least float at which ``pred`` holds, for a predicate that is false
+    below and true above one point a few ulps from ``guess``."""
+    s = guess
+    while pred(s):
+        s = math.nextafter(s, -math.inf)
+    while not pred(s):
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+class _Slot:
+    """One route's approach to one zone. Rebuilt every step: ``rows``, the
+    route's (x, v, priority) inside the zone window, x measured from its MZ
+    line; ``others``, the peers' rows (yielding only); ``mz_x``/``mz_v``, the
+    peers inside the MZ sorted by x (shared lanes only)."""
+
+    def __init__(self, zone: ConflictZoneSpec, ap: Approach, config: CorridorConfig):
+        self.zone = zone
+        self.ap = ap
+        self.same_lane = any(o.lane == ap.lane for o in zone.approaches if o.route != ap.route)
+        self.v_cap = min(config.route(ap.route).limit_at(ap.mz_start - 1e-6),
+                         config.bounds.v_max)
+        # virtual stopped leader just past the line; the follower's
+        # equilibrium gap then puts its nose a step short of the line
+        self.stop_at = ap.mz_start + config.baseline.min_gap - LINE_SETBACK
+        self.peers: tuple[_Slot, ...] = ()      # other routes into the zone
+
+
+class _Route:
+    """Per-route lookups built once, and the route's vehicles front first.
+
+    ``cells[bisect_right(edges, s)]`` is (zone column, the slots whose window
+    -cz_length <= s - mz_start < mz_length holds s, the first slot whose
+    [cz_start, mz_start) holds s or None). Window ends are the least floats
+    at which each comparison turns, so the lookup matches it at every float.
+    """
+
+    def __init__(self, spec: RouteSpec, slots: list[_Slot]):
+        self.name = spec.name
+        self.spec = spec
+        self.end = spec.length - 1e-9
+        self.v_enter = spec.limit_at(0.0)
+        bnds = spec.limit_boundaries()
+        self.cuts = tuple((pos, lim) for (pos, lim), (_, prev) in zip(bnds[1:], bnds)
+                          if lim < prev)
+        self.slots = slots
+        self.order: list[VehicleState] = []
+        wins = []
+        for sl in slots:
+            zone, ap = sl.zone, sl.ap
+            mz = ap.mz_start
+            frame = (_least_float(lambda s: -zone.cz_length <= s - mz, ap.cz_start),
+                     _least_float(lambda s: not s - mz < zone.mz_length, mz + zone.mz_length))
+            wins.append((sl, frame, (ap.cz_start, ap.mz_start + zone.mz_length),
+                         (ap.cz_start, ap.mz_start)))
+        self.edges = sorted({e for w in wins for lo_hi in w[1:] for e in lo_hi})
+        self.cells = [(0, (), None)]
+        for e in self.edges:
+            self.cells.append((
+                next((w[0].zone.index for w in wins if w[2][0] <= e < w[2][1]), 0),
+                tuple(w[0] for w in wins if w[1][0] <= e < w[1][1]),
+                next((w[0] for w in wins if w[3][0] <= e < w[3][1]), None)))
+
+
+@dataclass(slots=True)
 class _Passage:
     """Progress of one vehicle through one zone."""
 
-    zone: ConflictZoneSpec
-    approach: Approach
+    slot: _Slot
     phase: str                        # cz | mz
     coeffs: Optional[TrajectoryCoefficients] = None
     v_hold: float = 0.0
     exhausted: bool = False           # relaxation gave up; drift is expected
+    p_plan: Optional[float] = None    # plan position now; None right after planning
 
 
 class Simulation:
@@ -231,10 +296,12 @@ class Simulation:
         self.bounds = config.bounds
         self.dt = config.dt
         self.spawner = Spawner(config)
-        self.vehicles: dict[int, VehicleState] = {}
-        self.route_order: dict[str, list[int]] = {r.name: [] for r in config.routes}
-        self.bindings: dict[str, tuple[tuple[ConflictZoneSpec, Approach], ...]] = {
-            r.name: config.zones_on(r.name) for r in config.routes}
+        self.routes = [_Route(r, [_Slot(zone, ap, config) for zone, ap in config.zones_on(r.name)])
+                       for r in config.routes]
+        self.slots = [sl for rt in self.routes for sl in rt.slots]
+        for sl in self.slots:
+            sl.peers = tuple(o for ap in sl.zone.approaches if ap.route != sl.ap.route
+                             for o in self.slots if o.zone is sl.zone and o.ap is ap)
         self.coordinators = {z.index: ZoneCoordinator(z, config.bounds, config.headway)
                              for z in config.zones}
         self.passages: dict[int, _Passage] = {}
@@ -244,98 +311,68 @@ class Simulation:
         self._next_id = 1
         self._spawned = 0
         self._exited = 0
-        # limit-drop boundaries per route, precomputed once
-        self._cuts: dict[str, tuple[tuple[float, float], ...]] = {}
-        for r in config.routes:
-            cuts = []
-            bnds = r.limit_boundaries()
-            for (pos, lim), (_, prev_lim) in zip(bnds[1:], bnds):
-                if lim < prev_lim:
-                    cuts.append((pos, lim))
-            self._cuts[r.name] = tuple(cuts)
 
     # -- spawning ----------------------------------------------------------
 
     def _spawn_due(self, t: float) -> None:
         b = -self.bounds.u_min
         h = self.cfg.headway
-        for route in self.cfg.routes:
-            while self.spawner.due(route.name, t):
-                v0 = route.limit_at(0.0)
-                order = self.route_order[route.name]
+        for rt in self.routes:
+            while self.spawner.due(rt.name, t):
+                v0 = rt.v_enter
+                order = rt.order
                 if order:
                     # insertion speed capped so the new vehicle starts inside
                     # the headway envelope and could still stop behind the
                     # back of the queue at full braking
-                    back = self.vehicles[order[-1]]
+                    back = order[-1]
                     headroom = back.s - self.cfg.spawn.min_lead \
                         + back.v * back.v / (2.0 * b)
-                    if headroom <= 0.0:
-                        self.events["spawn_withheld"] += 1
-                        break
-                    v_quad = b * (-h + math.sqrt(h * h + 2.0 * headroom / b))
-                    v_env = (back.s - self.cfg.spawn.min_lead) / h
-                    v_safe = min(v_quad, v_env)
+                    v_safe = 0.0
+                    if headroom > 0.0:
+                        v_quad = b * (-h + math.sqrt(h * h + 2.0 * headroom / b))
+                        v_safe = min(v_quad, (back.s - self.cfg.spawn.min_lead) / h)
                     if v_safe < 0.5:
                         self.events["spawn_withheld"] += 1
                         break
                     v0 = min(v0, v_safe)
-                self.spawner.pop(route.name)
-                vid = self._next_id
+                self.spawner.pop(rt.name)
+                order.append(VehicleState(vehicle_id=self._next_id, route=rt.name,
+                                          s=0.0, v=v0))
                 self._next_id += 1
-                self.vehicles[vid] = VehicleState(vehicle_id=vid, route=route.name,
-                                                  s=0.0, v=v0)
-                order.append(vid)
                 self._spawned += 1
 
     # -- optimal-mode planning ----------------------------------------------
 
-    def _register_entrants(self, t: float) -> None:
-        entrants = []
-        for vid, state in self.vehicles.items():
-            if vid in self.passages:
-                continue
-            for zone, ap in self.bindings[state.route]:
-                if ap.cz_start <= state.s < ap.mz_start:
-                    entrants.append((state.route != self.cfg.main_route,
-                                     state.route, vid, zone, ap))
-                    break
-        entrants.sort(key=lambda e: (e[0], e[1], e[2]))
-        for _, _, vid, zone, ap in entrants:
-            self._plan(vid, zone, ap, t)
-
-    def _plan(self, vid: int, zone: ConflictZoneSpec, ap: Approach, t: float) -> None:
-        state = self.vehicles[vid]
+    def _plan(self, state: VehicleState, slot: _Slot, t: float) -> None:
+        vid, zone = state.vehicle_id, slot.zone
         coord = self.coordinators[zone.index]
         entry = coord.register_arrival(vid, t0=t, v0=max(state.v, MIN_SCHED_SPEED),
-                                       lane=ap.lane)
+                                       lane=slot.ap.lane)
         if entry.truncated:
             self.events["gap_truncations"] += 1
-        coeffs, exhausted = self._solve_with_relaxation(vid, state, zone, ap,
-                                                        coord, entry, t)
-        v_end = max(terminal_speed(coeffs), 0.05)
-        coord.set_terminal_speed(vid, v_end)
-        self.passages[vid] = _Passage(zone=zone, approach=ap, phase="cz",
-                                      coeffs=coeffs, v_hold=v_end,
-                                      exhausted=exhausted)
+        passage = self.passages[vid] = _Passage(slot=slot, phase="cz")
+        self._solve(state, passage, coord, entry, t)
         self.schedule_log[(vid, zone.index)] = {
             "vehicle": vid, "zone": zone.index, "t0": entry.t0, "tm": entry.tm,
-            "tf": entry.tf, "v_at_tm": v_end, "relation": entry.relation,
+            "tf": entry.tf, "v_at_tm": passage.v_hold, "relation": entry.relation,
             "lane": entry.lane, "truncated": int(entry.truncated),
         }
 
-    def _solve_with_relaxation(self, vid: int, state: VehicleState,
-                               zone: ConflictZoneSpec, ap: Approach,
-                               coord: ZoneCoordinator, entry: ScheduleEntry,
-                               t: float) -> tuple[TrajectoryCoefficients, bool]:
+    def _solve(self, state: VehicleState, passage: _Passage, coord: ZoneCoordinator,
+               entry: ScheduleEntry, t: float) -> None:
+        """Plan ``passage`` from the current state, relaxing tm until a clean
+        plan exists, and book the plan's merging speed."""
+        vid, zone, ap = state.vehicle_id, passage.slot.zone, passage.slot.ap
         vt = zone.mz_speed if zone.terminal_rule == "mz_speed" else None
-        fallback = None
+        coeffs = fallback = None
         for attempt in range(TM_RELAX_LIMIT + 1):
             bc = BoundaryConditions(p0=state.s, v0=state.v, t0=t,
                                     p_mz=ap.mz_start, tm=entry.tm,
                                     terminal_speed=vt)
             try:
-                return solve_bounded(bc, self.bounds), False
+                coeffs = solve_bounded(bc, self.bounds)
+                break
             except DegenerateHorizonError:
                 pass
             except InfeasibleHorizonError as exc:
@@ -345,99 +382,99 @@ class Simulation:
                 break
             entry = coord.adjust_merging_time(vid, entry.tm + TM_RELAX_STEP)
             self.events["tm_relaxations"] += 1
-        self.events["relax_exhausted"] += 1
-        log.warning("vehicle %d zone %d: no clean plan after %d relaxations; "
-                    "executing with control clamped", vid, zone.index, TM_RELAX_LIMIT)
-        if fallback is None:
-            fallback = solve_unconstrained(
+        passage.exhausted = coeffs is None
+        if coeffs is None:
+            self.events["relax_exhausted"] += 1
+            log.warning("vehicle %d zone %d: no clean plan after %d relaxations; "
+                        "executing with control clamped", vid, zone.index, TM_RELAX_LIMIT)
+            coeffs = fallback if fallback is not None else solve_unconstrained(
                 BoundaryConditions(p0=state.s, v0=state.v, t0=t, p_mz=ap.mz_start,
                                    tm=entry.tm, terminal_speed=vt))
-        return fallback, True
+        passage.coeffs = coeffs
+        passage.v_hold = max(terminal_speed(coeffs), 0.05)
+        coord.set_terminal_speed(vid, passage.v_hold)
 
-    def _replan(self, vid: int, t: float) -> None:
-        passage = self.passages[vid]
-        state = self.vehicles[vid]
-        coord = self.coordinators[passage.zone.index]
+    def _replan(self, state: VehicleState, passage: _Passage, t: float) -> None:
+        vid, zone = state.vehicle_id, passage.slot.zone
+        coord = self.coordinators[zone.index]
         entry = coord.entry(vid)
         if entry.tm - t < 2 * self.dt:
             return   # too close to the merge to re-pose the problem
         self.events["replans"] += 1
-        coeffs, exhausted = self._solve_with_relaxation(vid, state, passage.zone,
-                                                        passage.approach, coord,
-                                                        entry, t)
-        passage.coeffs = coeffs
-        passage.exhausted = exhausted
-        passage.v_hold = max(terminal_speed(coeffs), 0.05)
-        coord.set_terminal_speed(vid, passage.v_hold)
-        rec = self.schedule_log[(vid, passage.zone.index)]
+        self._solve(state, passage, coord, entry, t)
+        rec = self.schedule_log[(vid, zone.index)]
         rec["tm"] = coord.entry(vid).tm
         rec["v_at_tm"] = passage.v_hold
 
-    # -- per-step neighbour queries ------------------------------------------
+    # -- per-step snapshot ---------------------------------------------------
 
-    def _zone_frames(self) -> dict[int, dict[str, list[tuple[float, float, bool]]]]:
-        """Per zone, per route: (x, v, priority) for vehicles inside the zone
-        window, x measured from the merging-zone line of that route."""
-        frames: dict[int, dict[str, list[tuple[float, float, bool]]]] = {}
-        for zone in self.cfg.zones:
-            per_route: dict[str, list[tuple[float, float, bool]]] = {}
-            for ap in zone.approaches:
-                rows = []
-                for vid in self.route_order[ap.route]:
-                    st = self.vehicles[vid]
-                    x = st.s - ap.mz_start
-                    if -zone.cz_length <= x < zone.mz_length:
-                        rows.append((x, st.v, ap.priority))
-                per_route[ap.route] = rows
-            frames[zone.index] = per_route
-        return frames
+    def _snapshot(self, t: float, optimal: bool) -> list[list[tuple]]:
+        """Locate every vehicle once: fill the slots' rows, register control-
+        zone entrants (optimal mode) and build each slot's view of its peers.
+        Returns every route's cells in route order."""
+        for sl in self.slots:
+            sl.rows = []
+        passages = self.passages
+        entrants = []
+        located = []
+        for rt in self.routes:
+            edges, cells = rt.edges, rt.cells
+            here = []
+            for st in rt.order:
+                s = st.s
+                cell = cells[bisect_right(edges, s)]
+                here.append(cell)
+                for sl in cell[1]:
+                    sl.rows.append((s - sl.ap.mz_start, st.v, sl.ap.priority))
+                if optimal and cell[2] is not None and st.vehicle_id not in passages:
+                    entrants.append((st.route != self.cfg.main_route, st.route,
+                                     st.vehicle_id, st, cell[2]))
+            located.append(here)
+        entrants.sort(key=lambda e: (e[0], e[1], e[2]))
+        for _, _, _, st, sl in entrants:
+            self._plan(st, sl, t)
+        for sl in self.slots:
+            if not optimal:
+                sl.others = [row for peer in sl.peers for row in peer.rows]
+            if sl.same_lane:
+                # stable: among equal x the first in scan order comes first
+                mz = sorted((row for peer in sl.peers for row in peer.rows if 0.0 <= row[0]),
+                            key=lambda row: row[0])
+                sl.mz_x = [row[0] for row in mz]
+                sl.mz_v = [row[1] for row in mz]
+        return located
 
-    def _context_for(self, state: VehicleState, frames, yielding: bool) -> StepContext:
-        route = self.cfg.route(state.route)
-        v_des = route.limit_at(state.s)
-        cuts = tuple((pos - state.s, lim) for pos, lim in self._cuts[state.route]
-                     if pos > state.s)
+    def _context(self, rt: _Route, slot: Optional[_Slot], s: float, v: float,
+                 x: float, ahead: int, yielding: bool) -> StepContext:
+        i = bisect_right(rt.cuts, (s, math.inf))    # the cuts past s
+        cuts = tuple((pos - s, lim) for pos, lim in rt.cuts[i:]) if i < len(rt.cuts) else ()
         projected = None
         blocked = False
         line_gap = None
-        for zone, ap in self.bindings[state.route]:
-            x = state.s - ap.mz_start
-            if not (-zone.cz_length <= x < zone.mz_length):
-                continue
-            same_lane = any(o.lane == ap.lane for o in zone.approaches if o.route != ap.route)
-            others = [(ox, ov, opri)
-                      for r, rows in frames[zone.index].items() if r != ap.route
-                      for ox, ov, opri in rows]
-            if same_lane:
-                ahead = [(ox, ov) for ox, ov, _ in others if 0.0 <= ox and ox > x]
-                if ahead:
-                    ox, ov = min(ahead)
+        if slot is not None:
+            if slot.same_lane:
+                if ahead >= 0:   # nearest peer ahead inside the MZ, slowest of equals
+                    ox, ov = min(zip(slot.mz_x[ahead:], slot.mz_v[ahead:]))
                     projected = (ox - x, ov)
-                if yielding and not ap.priority and x < 0.0:
-                    blocked = self._same_lane_blocked(state, x, others)
-            else:
-                if yielding and x < 0.0:
-                    if ap.priority:
-                        blocked = any(0.0 <= ox and not opri for ox, _, opri in others)
-                    else:
-                        blocked = self._conflict_blocked(state, x, zone, ap, others)
+                if yielding and not slot.ap.priority and x < 0.0:
+                    blocked = self._same_lane_blocked(v, x, slot.others)
+            elif yielding and x < 0.0:
+                if slot.ap.priority:
+                    blocked = any(0.0 <= ox and not opri for ox, _, opri in slot.others)
+                else:
+                    blocked = self._conflict_blocked(v, x, slot)
             if blocked:
-                # virtual stopped leader just past the line; the follower's
-                # equilibrium gap then puts its nose a step short of the line
-                line_gap = (ap.mz_start + self.cfg.baseline.min_gap
-                            - LINE_SETBACK) - state.s
-            break
-        return StepContext(v_des=v_des, dt=self.dt, bounds=self.bounds,
-                           limit_cuts=cuts, projected=projected,
-                           yield_blocked=blocked, line_gap=line_gap)
+                line_gap = slot.stop_at - s
+        return StepContext(rt.spec.limit_at(s), self.dt, self.bounds, cuts,
+                           projected, blocked, line_gap)
 
-    def _same_lane_blocked(self, state, x, others) -> bool:
+    def _same_lane_blocked(self, v: float, x: float, others) -> bool:
         p = self.cfg.baseline
-        tau_me = -x / max(state.v, 0.3)
+        tau_me = -x / max(v, 0.3)
         for ox, ov, _ in others:
             if ox >= 0.0:
                 # someone just past the join, too close to slot in behind
-                if ox < p.headway * state.v + p.min_gap:
+                if ox < p.headway * v + p.min_gap:
                     return True
             else:
                 tau_o = -ox / max(ov, 0.3)
@@ -445,176 +482,153 @@ class Simulation:
                     return True
         return False
 
-    def _conflict_blocked(self, state, x, zone, ap, others) -> bool:
+    def _conflict_blocked(self, v: float, x: float, slot: _Slot) -> bool:
         p = self.cfg.baseline
-        if any(0.0 <= ox for ox, _, _ in others):
+        if any(0.0 <= ox for ox, _, _ in slot.others):
             return True
-        route = self.cfg.route(state.route)
-        v_cap = min(route.limit_at(ap.mz_start - 1e-6), self.bounds.v_max)
-        crossing = _time_to_cover(-x + zone.mz_length, state.v, p.max_accel, v_cap)
+        crossing = _time_to_cover(-x + slot.zone.mz_length, v, p.max_accel, slot.v_cap)
         window = max(p.yield_gap, crossing + YIELD_CROSS_MARGIN)
-        for ox, ov, _ in others:
+        for ox, ov, _ in slot.others:
             if ox < 0.0 and -ox / max(ov, 0.3) < window:
                 return True
         return False
 
     # -- safety governor -----------------------------------------------------
 
-    def _govern(self, u: float, state: VehicleState, order: list[int], pos: int,
-                controls: dict[int, float], frames) -> float:
-        """Headway barrier over the planned control: never accelerate past the
-        ceiling that keeps the gap at least headway * own speed (plus a small
-        margin) after the step. Inactive in correctly scheduled traffic; binds
-        only while a degraded plan would otherwise compress the gap."""
-        cap = math.inf
-        if pos:
-            lead = self.vehicles[order[pos - 1]]
-            u_lead = controls.get(order[pos - 1], self.bounds.u_min)
-            cap = self._headway_ceiling(lead.s - state.s, state.v, lead.v, u_lead)
-        proj = self._mz_projected_leader(state, frames)
-        if proj is not None:
-            gap, v_lead = proj
-            # cross-route leader's control is unknown here; assume full braking
-            cap = min(cap, self._headway_ceiling(gap, state.v, v_lead,
-                                                 self.bounds.u_min))
-        if u > cap:
-            self.events["governor_caps"] += 1
-            u = max(cap, self.bounds.u_min)
-        return u
-
-    def _headway_ceiling(self, gap: float, v_f: float, v_lead: float,
-                         u_lead: float) -> float:
-        """Largest control that keeps the pair safe after this step: the gap
-        must stay above headway * own speed (instantaneous envelope) and above
-        the braking differential (v_f^2 - v_l^2) / 2b on top of it, so the
+    def _headway_ceiling(self):
+        """ceiling(gap, v_f, v_lead, u_lead): largest control that keeps the
+        pair safe after this step. The gap must stay above headway * own speed
+        and the braking differential (v_f^2 - v_l^2) / 2b on top of it, so the
         envelope remains achievable even if the leader brakes to a stop at
         the hardest rate anyone can."""
         dt = self.dt
-        h = self.cfg.headway
         b = -self.bounds.u_min
-        v_lead_next = max(v_lead + u_lead * dt, 0.0)
-        avail = gap + v_lead_next * dt - GOVERNOR_MARGIN
-        v_linear = avail / (h + dt)
-        disc = (h + dt) ** 2 + 2.0 * (avail + v_lead_next ** 2 / (2.0 * b)) / b
-        v_quad = b * (-(h + dt) + math.sqrt(max(disc, 0.0)))
-        return (min(v_linear, v_quad) - v_f) / dt
+        h_dt = self.cfg.headway + dt
+        h_dt_sq = h_dt ** 2
+        two_b = 2.0 * b
 
-    def _mz_projected_leader(self, state: VehicleState, frames):
-        """Nearest vehicle from the other route of a shared-lane zone that is
-        already inside the merging zone and ahead of us, as (gap, speed)."""
-        for zone, ap in self.bindings[state.route]:
-            x = state.s - ap.mz_start
-            if not (-zone.cz_length <= x < zone.mz_length):
-                continue
-            if not any(o.lane == ap.lane for o in zone.approaches
-                       if o.route != ap.route):
-                return None
-            best = None
-            for r, rows in frames[zone.index].items():
-                if r == ap.route:
-                    continue
-                for ox, ov, _ in rows:
-                    if ox >= 0.0 and ox > x and (best is None or ox < best[0]):
-                        best = (ox, ov)
-            return None if best is None else (best[0] - x, best[1])
-        return None
+        # b if b > a else a is max(a, b) and b if b < a else a is min(a, b),
+        # signed zeros included
+        def ceiling(gap: float, v_f: float, v_lead: float, u_lead: float) -> float:
+            v_lead_next = v_lead + u_lead * dt
+            if 0.0 > v_lead_next:
+                v_lead_next = 0.0
+            avail = gap + v_lead_next * dt - GOVERNOR_MARGIN
+            v_linear = avail / h_dt
+            disc = h_dt_sq + 2.0 * (avail + v_lead_next ** 2 / two_b) / b
+            v_quad = b * (-h_dt + math.sqrt(0.0 if 0.0 > disc else disc))
+            return ((v_quad if v_quad < v_linear else v_linear) - v_f) / dt
+
+        return ceiling
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> SimResult:
         optimal = self.cfg.mode == "optimal"
         n_steps = int(round(self.cfg.horizon / self.dt))
+        ceiling = self._headway_ceiling()
         for step in range(n_steps):
             t = step * self.dt
             self._spawn_due(t)
-            if optimal:
-                self._register_entrants(t)
-            frames = self._zone_frames()
-
-            controls: dict[int, float] = {}
-            for route in self.cfg.routes:
-                order = self.route_order[route.name]
-                for pos, vid in enumerate(order):
-                    state = self.vehicles[vid]
-                    passage = self.passages.get(vid) if optimal else None
-                    if passage is not None and passage.phase == "mz":
-                        u = (passage.v_hold - state.v) / self.dt
-                        u = min(max(u, self.bounds.u_min), self.bounds.u_max)
-                        if state.v < 0.3 and passage.v_hold < 0.3:
-                            u = min(self.bounds.u_max, 0.5)
-                            self.events["mz_crawl_steps"] += 1
-                    elif passage is not None:
-                        drift = abs(state.s - evaluate(passage.coeffs,
-                                                       min(max(t, passage.coeffs.t0),
-                                                           passage.coeffs.tm))[2])
-                        if drift > REANCHOR_TOLERANCE and not passage.exhausted:
-                            self._replan(vid, t)
-                            passage = self.passages[vid]
-                        entry = self.coordinators[passage.zone.index].entry(vid)
-                        u, clamped = optimal_step(state, entry, passage.coeffs, t,
-                                                  self.dt, self.bounds, passage.v_hold)
-                        if clamped:
-                            self.events["control_clamps"] += 1
-                    else:
-                        leader = self.vehicles[order[pos - 1]] if pos else None
-                        ctx = self._context_for(state, frames, yielding=not optimal)
-                        u = baseline_step(state, leader, self.cfg.baseline, ctx)
-                    if optimal:
-                        u = self._govern(u, state, order, pos, controls, frames)
-                    controls[vid] = u
-
-            for route in self.cfg.routes:
-                for vid in self.route_order[route.name]:
-                    st = self.vehicles[vid]
-                    self.rows.append((t, vid, st.route, st.s, st.v, controls[vid],
-                                      self._zone_at(st)))
-
-            t_next = (step + 1) * self.dt
-            despawned: list[int] = []
-            for route in self.cfg.routes:
-                spec = self.cfg.route(route.name)
-                for vid in self.route_order[route.name]:
-                    st = self.vehicles[vid]
-                    u = controls[vid]
-                    v_new = max(st.v + u * self.dt, 0.0)
-                    st.s += v_new * self.dt
-                    st.v = v_new
-                    st.u = u
-                    st.dist_traveled += v_new * self.dt
-                    if optimal:
-                        self._advance_passage(vid, st, t_next)
-                    if st.s >= spec.length - 1e-9:
-                        self.rows.append((t_next, vid, st.route, st.s, st.v, u,
-                                          self._zone_at(st)))
-                        despawned.append(vid)
-            for vid in despawned:
-                st = self.vehicles.pop(vid)
-                self.route_order[st.route].remove(vid)
-                self.passages.pop(vid, None)
-                self._exited += 1
-
+            located = self._snapshot(t, optimal)
+            self._control(t, optimal, located, ceiling)
+            self._integrate((step + 1) * self.dt, optimal)
         schedule = [self.schedule_log[k] for k in sorted(self.schedule_log)]
         return SimResult(rows=self.rows, schedule=schedule, events=self.events,
                          spawned=self._spawned, exited=self._exited,
-                         active_at_end=len(self.vehicles))
+                         active_at_end=sum(len(rt.order) for rt in self.routes))
 
-    def _advance_passage(self, vid: int, st: VehicleState, t_next: float) -> None:
-        passage = self.passages.get(vid)
-        if passage is None:
-            return
-        ap, zone = passage.approach, passage.zone
-        if passage.phase == "cz" and st.s >= ap.mz_start - 1e-9:
-            passage.phase = "mz"
-        if passage.phase == "mz" and st.s >= ap.mz_start + zone.mz_length - 1e-9:
-            self.coordinators[zone.index].release(vid, t_next)
-            self.schedule_log[(vid, zone.index)]["tf"] = t_next
-            del self.passages[vid]
+    def _control(self, t: float, optimal: bool, located: list[list[tuple]],
+                 ceiling) -> None:
+        """Every control from the snapshot, in route order, each followed by
+        its trace row. In optimal mode a headway governor caps the control
+        behind the route leader and behind the projected MZ peer (whose
+        control is unknown: full braking is assumed). It is meant to idle in
+        correctly scheduled traffic and bind only on degraded plans."""
+        dt = self.dt
+        bounds = self.bounds
+        u_min, u_max = bounds.u_min, bounds.u_max
+        params = self.cfg.baseline
+        passages = self.passages
+        rows = self.rows
+        events = self.events
+        for rt, cells in zip(self.routes, located):
+            name = rt.name
+            leader = None
+            u_lead = u_min
+            for st, cell in zip(rt.order, cells):
+                s, v, vid = st.s, st.v, st.vehicle_id
+                slot = cell[1][0] if cell[1] else None
+                x = s - slot.ap.mz_start if slot is not None else 0.0
+                ahead = -1      # index of the projected MZ peer, if any
+                if slot is not None and slot.same_lane:
+                    ahead = bisect_right(slot.mz_x, x)
+                    if ahead == len(slot.mz_x):
+                        ahead = -1
+                passage = passages.get(vid) if optimal else None
+                if passage is None:
+                    u = baseline_step(st, leader, params,
+                                      self._context(rt, slot, s, v, x, ahead, not optimal))
+                elif passage.phase == "mz":
+                    u = (passage.v_hold - v) / dt
+                    u = min(max(u, u_min), u_max)
+                    if v < 0.3 and passage.v_hold < 0.3:
+                        u = min(u_max, 0.5)
+                        events["mz_crawl_steps"] += 1
+                else:
+                    if (passage.p_plan is not None and not passage.exhausted
+                            and abs(s - passage.p_plan) > REANCHOR_TOLERANCE):
+                        self._replan(st, passage, t)
+                    u, clamped, passage.p_plan = optimal_step(
+                        st, passage.coeffs, t, dt, bounds, passage.v_hold)
+                    if clamped:
+                        events["control_clamps"] += 1
+                if optimal:
+                    cap = math.inf
+                    if leader is not None:
+                        cap = ceiling(leader.s - s, v, leader.v, u_lead)
+                    if ahead >= 0:
+                        cap = min(cap, ceiling(slot.mz_x[ahead] - x, v,
+                                               slot.mz_v[ahead], u_min))
+                    if u > cap:
+                        events["governor_caps"] += 1
+                        u = max(cap, u_min)
+                st.u = u
+                rows.append((t, vid, name, s, v, u, cell[0]))
+                leader = st
+                u_lead = u
 
-    def _zone_at(self, st: VehicleState) -> int:
-        for zone, ap in self.bindings[st.route]:
-            if ap.cz_start <= st.s < ap.mz_start + zone.mz_length:
-                return zone.index
-        return 0
+    def _integrate(self, t_next: float, optimal: bool) -> None:
+        dt = self.dt
+        passages = self.passages
+        rows = self.rows
+        for rt in self.routes:
+            end = rt.end
+            gone = False
+            for st in rt.order:
+                u = st.u
+                v_new = st.v + u * dt
+                if 0.0 > v_new:     # max(v_new, 0.0)
+                    v_new = 0.0
+                st.s += v_new * dt
+                st.v = v_new
+                passage = passages.get(st.vehicle_id) if optimal else None
+                if passage is not None:
+                    ap, zone = passage.slot.ap, passage.slot.zone
+                    if passage.phase == "cz" and st.s >= ap.mz_start - 1e-9:
+                        passage.phase = "mz"
+                    if passage.phase == "mz" and st.s >= ap.mz_start + zone.mz_length - 1e-9:
+                        self.coordinators[zone.index].release(st.vehicle_id, t_next)
+                        self.schedule_log[(st.vehicle_id, zone.index)]["tf"] = t_next
+                        del passages[st.vehicle_id]
+                if st.s >= end:
+                    rows.append((t_next, st.vehicle_id, rt.name, st.s, v_new, u,
+                                 rt.cells[bisect_right(rt.edges, st.s)][0]))
+                    passages.pop(st.vehicle_id, None)
+                    self._exited += 1
+                    gone = True
+            if gone:
+                rt.order = [st for st in rt.order if st.s < end]
 
 
 def run(config: CorridorConfig) -> SimResult:

@@ -31,6 +31,7 @@ OP_PUBLISH = 0x02
 _LEN = struct.Struct(">I")
 _TOPIC_LEN = struct.Struct(">H")
 MAX_FRAME = 1 << 20  # sanity cap so a corrupt length cannot balloon memory
+SYNC_PREFIX = "__sync/"  # single-use echo topics of BrokerClient.sync
 
 
 class ProtocolError(ValueError):
@@ -121,8 +122,9 @@ class Broker:
 
     def start(self) -> "Broker":
         t = threading.Thread(target=self._accept_loop, daemon=True)
+        with self._lock:
+            self._threads.append(t)
         t.start()
-        self._threads.append(t)
         return self
 
     def _accept_loop(self) -> None:
@@ -136,7 +138,10 @@ class Broker:
                 self._conns.add(conn)
             t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
             t.start()
-            self._threads.append(t)
+            with self._lock:
+                # keep only live threads, or every connection ever made stays
+                self._threads = [th for th in self._threads if th.is_alive()]
+                self._threads.append(t)
 
     def _serve(self, conn: socket.socket) -> None:
         try:
@@ -176,6 +181,8 @@ class Broker:
                     dead.append(sub)
             for sub in dead:
                 self._forget_locked(sub)
+            if topic.startswith(SYNC_PREFIX):
+                self._subs.pop(topic, None)   # its one echo is out
 
     def _forget(self, conn: socket.socket) -> None:
         with self._lock:
@@ -183,9 +190,11 @@ class Broker:
 
     def _forget_locked(self, conn: socket.socket) -> None:
         self._conns.discard(conn)
-        for subs in self._subs.values():
+        for topic, subs in list(self._subs.items()):
             if conn in subs:
                 subs.remove(conn)
+                if not subs:
+                    del self._subs[topic]
         try:
             # shutdown first: close() alone leaves a reader blocked in recv
             conn.shutdown(socket.SHUT_RDWR)
@@ -210,7 +219,9 @@ class Broker:
             conns = list(self._conns)
         for conn in conns:
             self._forget(conn)
-        for t in self._threads:
+        with self._lock:
+            threads = list(self._threads)
+        for t in threads:
             t.join(timeout=2.0)
 
     def __enter__(self) -> "Broker":
@@ -251,7 +262,7 @@ class BrokerClient:
         the earlier subscribes landed.  Call before other publishers start;
         an already-running feed would interleave its deliveries here.
         """
-        topic = f"__sync/{uuid.uuid4().hex}"
+        topic = f"{SYNC_PREFIX}{uuid.uuid4().hex}"
         self.subscribe(topic)
         self.publish(topic, b"")
         got = self.recv()

@@ -65,6 +65,9 @@ def test_publish_without_subscribers_is_dropped(broker):
     pub = BrokerClient(broker.address, timeout=5.0)
     pub.publish("void", b"x")
     pub.publish("void", b"y")
+    # frames on two connections have no order between them: wait until the
+    # broker has handled these before the subscriber arrives
+    pub.sync()
     # a subscriber arriving later sees nothing from the past
     sub = BrokerClient(broker.address, timeout=5.0)
     sub.subscribe("void")
@@ -165,3 +168,49 @@ def test_payload_parser_rejects_junk():
         parse_payload(b"\x02\x00\x09abc")
     op, topic, data = parse_payload(encode_publish("bsm/2", b"\x00\x01"))
     assert (op, topic, data) == ("publish", "bsm/2", b"\x00\x01")
+
+
+def _topics(broker):
+    with broker._lock:
+        return list(broker._subs)
+
+
+def _eventually(cond, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not cond():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_sync_topics_do_not_accumulate(broker):
+    client = BrokerClient(broker.address, timeout=5.0)
+    for _ in range(100):
+        client.sync()
+    assert sum(t.startswith("__sync/") for t in _topics(broker)) <= 1
+    client.close()
+    assert _eventually(lambda: not any(t.startswith("__sync/") for t in _topics(broker)))
+
+
+def test_closed_subscriber_leaves_no_empty_topic(broker):
+    client = BrokerClient(broker.address, timeout=5.0)
+    client.subscribe("bsm/1")
+    client.sync()
+    assert "bsm/1" in _topics(broker)
+    client.close()
+    assert _eventually(lambda: "bsm/1" not in _topics(broker))
+
+
+def test_finished_connection_threads_are_pruned(broker):
+    for _ in range(20):
+        client = BrokerClient(broker.address, timeout=5.0)
+        client.sync()
+        client.close()
+    # every reader thread has seen its hang-up; only the acceptor runs
+    assert _eventually(lambda: sum(t.is_alive() for t in list(broker._threads)) <= 1)
+    last = BrokerClient(broker.address, timeout=5.0)
+    last.sync()
+    # its accept prunes the finished readers: the acceptor and the new reader stay
+    assert _eventually(lambda: len(broker._threads) <= 2)
+    last.close()

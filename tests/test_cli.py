@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -77,7 +78,9 @@ def test_verify_rejects_missing_and_malformed(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bench_round_trip(tmp_path, capsys):
+@pytest.fixture()
+def short_trace(tmp_path):
+    """Trace and schedule of the bench geometry cut to 12 s of data time."""
     import dataclasses
     from corridorsim.core import load_config_file
     from corridorsim import sim
@@ -89,6 +92,11 @@ def test_bench_round_trip(tmp_path, capsys):
     sched = str(tmp_path / "sched.csv")
     write_trace(trace, res.rows)
     write_schedule(sched, res.schedule)
+    return trace, sched
+
+
+def test_bench_round_trip(tmp_path, capsys, short_trace):
+    trace, sched = short_trace
     # 12 s data time but config says 60 s: bench must still pass, the clock
     # is driven by the frames themselves
     out = str(tmp_path / "commands.csv")
@@ -100,6 +108,16 @@ def test_bench_round_trip(tmp_path, capsys):
     lines = open(out).read().splitlines()
     assert lines[0] == "t,command"
     assert len(lines) > 100
+
+
+def test_bench_wall_time_excludes_idle_tail(capsys, short_trace):
+    trace, sched = short_trace
+    rc = main(["bench", "--config", BENCH, "--trace", trace,
+               "--schedule", sched, "--idle-timeout", "5"])
+    text = capsys.readouterr().out
+    assert rc == 0, text
+    wall = float(re.search(r"in ([0-9.]+) s wall", text).group(1))
+    assert wall < 5.0, text
 
 
 def test_console_help_runs():

@@ -1,12 +1,16 @@
 """Configuration loading, unit handling, validation."""
 
+import math
 import pathlib
+import random
 
 import pytest
 
 from corridorsim.core import (
     Bounds,
     ConfigError,
+    RouteSegment,
+    RouteSpec,
     load_config,
     load_config_file,
     mph_to_mps,
@@ -101,6 +105,41 @@ def test_load_is_idempotent():
     again = load_config(serialize_config(cfg))
     assert again == cfg
     assert load_config(serialize_config(again)) == again
+    # the per-route lookups cached at construction survive the round trip
+    for route in cfg.routes:
+        assert cfg.route(route.name) is route
+        twin = again.route(route.name)
+        assert twin.length == route.length
+        assert twin.limit_boundaries() == route.limit_boundaries()
+
+
+def _linear_limit(route, s):
+    """The segment-scan definition of limit_at, summing ends as it goes."""
+    pos = 0.0
+    for seg in route.segments:
+        pos += seg.length
+        if s < pos:
+            return seg.limit
+    return route.segments[-1].limit
+
+
+def test_limit_at_matches_linear_scan():
+    rng = random.Random(11)
+    routes = list(load_config(table1_text()).routes)
+    for _ in range(200):
+        segs = tuple(RouteSegment(length=rng.uniform(0.1, 500.0), limit=rng.uniform(1.0, 40.0))
+                     for _ in range(rng.randint(1, 6)))
+        routes.append(RouteSpec(name="r", flow_vps=0.1, segments=segs))
+    for route in routes:
+        probes = [0.0, -1.0, math.inf]
+        end = 0.0
+        for seg in route.segments:
+            end += seg.length
+            probes += [end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)]
+        probes.append(end + 1.0)
+        assert route.length == end
+        for s in probes:
+            assert route.limit_at(s) == _linear_limit(route, s), (route, s)
 
 
 def test_load_config_file(tmp_path):

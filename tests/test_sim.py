@@ -1,6 +1,7 @@
 """Simulation engine and metrics: spawning statistics, controller examples,
 integrator invariants, safety checks on whole traces, determinism."""
 
+import bisect
 import dataclasses
 import hashlib
 import math
@@ -113,17 +114,19 @@ def test_tracking_a_cruise_plan_is_exact():
     bc = BoundaryConditions(p0=0.0, v0=10.0, t0=0.0, p_mz=100.0, tm=10.0)
     coeffs = solve_unconstrained(bc)
     veh = VehicleState(vehicle_id=1, route="main", s=50.0, v=10.0)
-    u, clamped = optimal_step(veh, None, coeffs, 5.0, 0.1, BOUNDS, 10.0)
+    u, clamped, p_plan = optimal_step(veh, coeffs, 5.0, 0.1, BOUNDS, 10.0)
     assert not clamped
     assert u == pytest.approx(0.0, abs=1e-9)
+    assert p_plan == pytest.approx(51.0, abs=1e-9)   # the plan at t + dt
 
 
 def test_tracking_extrapolates_past_the_merging_time():
     bc = BoundaryConditions(p0=0.0, v0=10.0, t0=0.0, p_mz=100.0, tm=10.0)
     coeffs = solve_unconstrained(bc)
     veh = VehicleState(vehicle_id=1, route="main", s=99.5, v=10.0)
-    u, _ = optimal_step(veh, None, coeffs, 9.95, 0.1, BOUNDS, 10.0)
+    u, _, p_plan = optimal_step(veh, coeffs, 9.95, 0.1, BOUNDS, 10.0)
     assert u == pytest.approx(0.0, abs=1e-9)
+    assert p_plan == pytest.approx(100.0, abs=1e-9)  # held at the plan's end
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +189,63 @@ def test_two_runs_same_seed_bitwise_identical():
     ha = hashlib.sha256(metrics.trace_bytes(a.rows)).hexdigest()
     hb = hashlib.sha256(metrics.trace_bytes(b.rows)).hexdigest()
     assert ha == hb
+
+
+# sha256 over trace, schedule and events bytes of Table-1 cut to 60 s; the
+# step loop and the writers must reproduce them bit for bit
+GOLDEN_60S = {
+    ("optimal", 1): "fb3855c847a005dcef1c5d81a6bf50fb32a299fe7126db836e062e944ff02dba",
+    ("optimal", 3): "17da85e7fdee37f6325623a1a9017fd5f0effd5944357f97cb67245c7a81d2a6",
+    ("baseline", 1): "406a2a3ff4e03b1089f7ff33ea8587eb340396ffed80605d17b0e505742cb47a",
+    ("baseline", 3): "c343650852f8e0278ac1730f9f4a6d35720c4a08cb4262cfa7ac08a9679dfd8d",
+}
+
+
+@pytest.mark.parametrize("mode,seed", sorted(GOLDEN_60S))
+def test_outputs_match_golden_digest(tmp_path, mode, seed):
+    res = sim.run(table1(mode=mode, horizon=60.0, seed=seed))
+    paths = [tmp_path / name for name in ("trace.csv", "schedule.csv", "events.json")]
+    metrics.write_trace(str(paths[0]), res.rows)
+    metrics.write_schedule(str(paths[1]), res.schedule)
+    metrics.write_events(str(paths[2]), res.events)
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.read_bytes())
+    assert h.hexdigest() == GOLDEN_60S[(mode, seed)]
+
+
+def _off_grid_table1():
+    """Table-1 with zone geometry off the binary grid, so the window
+    comparisons round."""
+    with open(TABLE1) as fh:
+        doc = fh.read()
+    for a, b in (("mz_entry: 350 m", "mz_entry: 349.9 m"), ("mz_entry: 700 m", "mz_entry: 700.3 m"),
+                 ("mz_entry: 1200 m", "mz_entry: 1199.7 m"), ("length: 100 m", "length: 99.3 m"),
+                 ("mz_length: 15 m", "mz_length: 15.1 m"), ("mz_length: 125 m", "mz_length: 124.9 m")):
+        doc = doc.replace(a, b)
+    return load_config(doc)
+
+
+@pytest.mark.parametrize("cfg", [table1(), _off_grid_table1()], ids=["table1", "off-grid"])
+def test_route_cells_match_window_comparisons(cfg):
+    rng = np.random.default_rng(5)
+    for rt in sim.Simulation(cfg).routes:
+        bindings = cfg.zones_on(rt.name)
+        probes = rng.uniform(-10.0, rt.spec.length + 10.0, 2000).tolist()
+        for zone, ap in bindings:
+            for edge in (ap.cz_start, ap.mz_start, ap.mz_start + zone.mz_length):
+                s = edge - 4 * math.ulp(edge)
+                for _ in range(9):
+                    probes.append(s)
+                    s = math.nextafter(s, math.inf)
+        for s in probes:
+            column, frames, entrant = rt.cells[bisect.bisect_right(rt.edges, s)]
+            assert column == next((z.index for z, ap in bindings
+                                   if ap.cz_start <= s < ap.mz_start + z.mz_length), 0)
+            assert [sl.zone.index for sl in frames] == [
+                z.index for z, ap in bindings if -z.cz_length <= s - ap.mz_start < z.mz_length]
+            assert (entrant and entrant.zone.index) == next(
+                (z.index for z, ap in bindings if ap.cz_start <= s < ap.mz_start), None)
 
 
 def test_different_seed_changes_the_trace():
