@@ -56,7 +56,6 @@ class ScheduleEntry:
     v_at_tm: float
     relation: str
     lane: str
-    dist_to_mz: float
     truncated: bool = False
 
 
@@ -151,20 +150,29 @@ def occupancy_check(occ: MzOccupancy, tol: float = 1e-9) -> list[ConflictPair]:
 
 
 class ZoneCoordinator:
-    """FIFO schedule keeper for a single conflict zone."""
+    """FIFO schedule keeper for a single conflict zone.
+
+    ``history`` is the one booking record: every entry ever registered, in
+    registration order, updated in place. The MZ occupancy book is read off
+    it; ``_by_id`` holds the entries still queued, in FIFO order.
+    """
 
     def __init__(self, zone: ConflictZoneSpec, bounds: Bounds, headway: float = 1.2):
         self.zone = zone
         self.bounds = bounds
         self.headway = headway
-        self.queue: list[ScheduleEntry] = []
+        self.history: list[ScheduleEntry] = []
         self._by_id: dict[int, ScheduleEntry] = {}
-        self.occupancy = MzOccupancy(zone=zone.index)
-        self._occ_index: dict[int, int] = {}
         self.truncation_count = 0
 
     def __len__(self) -> int:
-        return len(self.queue)
+        return len(self._by_id)
+
+    @property
+    def occupancy(self) -> MzOccupancy:
+        """Booked MZ intervals of every registration, released ones included."""
+        return MzOccupancy(self.zone.index, [
+            OccupancyInterval(e.vehicle_id, e.tm, e.tf, e.lane) for e in self.history])
 
     def entry(self, vehicle_id: int) -> ScheduleEntry:
         try:
@@ -179,7 +187,7 @@ class ZoneCoordinator:
         if vehicle_id in self._by_id:
             raise DuplicateRegistrationError(
                 f"vehicle {vehicle_id} already queued in zone {self.zone.index}")
-        prev = self.queue[-1] if self.queue else None
+        prev = next(reversed(self._by_id.values()), None)
         if prev is None:
             relation = RELATION_NONE
         elif prev.lane == lane:
@@ -199,19 +207,10 @@ class ZoneCoordinator:
         entry = ScheduleEntry(vehicle_id=vehicle_id, zone=self.zone.index,
                               t0=t0, tm=tm, tf=tm + self.zone.mz_length / v_at_tm,
                               v_at_tm=v_at_tm, relation=relation, lane=lane,
-                              dist_to_mz=self.zone.cz_length, truncated=truncated)
-        self.queue.append(entry)
+                              truncated=truncated)
+        self.history.append(entry)
         self._by_id[vehicle_id] = entry
-        self._book(entry)
         return entry
-
-    def _book(self, entry: ScheduleEntry) -> None:
-        iv = OccupancyInterval(entry.vehicle_id, entry.tm, entry.tf, entry.lane)
-        if entry.vehicle_id in self._occ_index:
-            self.occupancy.intervals[self._occ_index[entry.vehicle_id]] = iv
-        else:
-            self._occ_index[entry.vehicle_id] = len(self.occupancy.intervals)
-            self.occupancy.intervals.append(iv)
 
     def adjust_merging_time(self, vehicle_id: int, tm: float) -> ScheduleEntry:
         """Relax a merging time upward (infeasible-horizon retries)."""
@@ -221,31 +220,26 @@ class ZoneCoordinator:
                              f"{tm:.3f} < {entry.tm:.3f}")
         entry.tm = tm
         entry.tf = tm + self.zone.mz_length / max(entry.v_at_tm, 1e-9)
-        self._book(entry)
         return entry
 
     def set_terminal_speed(self, vehicle_id: int, v_at_tm: float) -> ScheduleEntry:
-        """Record the planned MZ-crossing speed and re-book occupancy."""
+        """Record the planned MZ-crossing speed and the MZ exit it books."""
         if v_at_tm <= 0:
             raise ValueError("merging speed must be positive")
         entry = self.entry(vehicle_id)
         entry.v_at_tm = v_at_tm
         entry.tf = entry.tm + self.zone.mz_length / v_at_tm
-        self._book(entry)
         return entry
 
     def release(self, vehicle_id: int, tf: float) -> ScheduleEntry:
-        """Remove a vehicle from the queue, closing its MZ interval at tf."""
+        """Remove a vehicle from the queue, closing its MZ interval at tf.
+
+        The entry stays in ``history`` for post-hoc occupancy checks; a later
+        re-registration of the same vehicle books a fresh one.
+        """
         entry = self.entry(vehicle_id)
         if tf < entry.tm:
             raise ValueError(f"exit at {tf:.3f} s precedes MZ entry {entry.tm:.3f} s")
         entry.tf = tf
-        iv = self.occupancy.intervals[self._occ_index[vehicle_id]]
-        self.occupancy.intervals[self._occ_index[vehicle_id]] = OccupancyInterval(
-            iv.vehicle_id, iv.t_enter, tf, iv.lane)
-        self.queue.remove(entry)
         del self._by_id[vehicle_id]
-        del self._occ_index[vehicle_id]
-        # historical intervals stay for post-hoc occupancy checks, only the
-        # index entry is dropped so a later re-registration books fresh
         return entry

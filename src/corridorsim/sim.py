@@ -42,7 +42,6 @@ from corridorsim.trajectory import (
     TrajectoryCoefficients,
     evaluate,
     solve_bounded,
-    solve_unconstrained,
     terminal_speed,
 )
 
@@ -306,7 +305,6 @@ class Simulation:
                              for z in config.zones}
         self.passages: dict[int, _Passage] = {}
         self.rows: list[tuple] = []
-        self.schedule_log: dict[tuple[int, int], dict] = {}
         self.events: Counter = Counter()
         self._next_id = 1
         self._spawned = 0
@@ -345,24 +343,21 @@ class Simulation:
     # -- optimal-mode planning ----------------------------------------------
 
     def _plan(self, state: VehicleState, slot: _Slot, t: float) -> None:
-        vid, zone = state.vehicle_id, slot.zone
-        coord = self.coordinators[zone.index]
-        entry = coord.register_arrival(vid, t0=t, v0=max(state.v, MIN_SCHED_SPEED),
-                                       lane=slot.ap.lane)
+        coord = self.coordinators[slot.zone.index]
+        entry = coord.register_arrival(state.vehicle_id, t0=t,
+                                       v0=max(state.v, MIN_SCHED_SPEED), lane=slot.ap.lane)
         if entry.truncated:
             self.events["gap_truncations"] += 1
-        passage = self.passages[vid] = _Passage(slot=slot, phase="cz")
+        passage = self.passages[state.vehicle_id] = _Passage(slot=slot, phase="cz")
         self._solve(state, passage, coord, entry, t)
-        self.schedule_log[(vid, zone.index)] = {
-            "vehicle": vid, "zone": zone.index, "t0": entry.t0, "tm": entry.tm,
-            "tf": entry.tf, "v_at_tm": passage.v_hold, "relation": entry.relation,
-            "lane": entry.lane, "truncated": int(entry.truncated),
-        }
 
     def _solve(self, state: VehicleState, passage: _Passage, coord: ZoneCoordinator,
                entry: ScheduleEntry, t: float) -> None:
         """Plan ``passage`` from the current state, relaxing tm until a clean
-        plan exists, and book the plan's merging speed."""
+        plan exists, and book the plan's merging speed. Out of relaxations,
+        the last attempt's ``partial`` plan runs: every relaxed horizon is
+        well above the degenerate limit, and ``solve_bounded`` attaches a
+        partial to every InfeasibleHorizonError it raises."""
         vid, zone, ap = state.vehicle_id, passage.slot.zone, passage.slot.ap
         vt = zone.mz_speed if zone.terminal_rule == "mz_speed" else None
         coeffs = fallback = None
@@ -376,8 +371,7 @@ class Simulation:
             except DegenerateHorizonError:
                 pass
             except InfeasibleHorizonError as exc:
-                if exc.partial is not None:
-                    fallback = exc.partial
+                fallback = exc.partial
             if attempt == TM_RELAX_LIMIT:
                 break
             entry = coord.adjust_merging_time(vid, entry.tm + TM_RELAX_STEP)
@@ -387,24 +381,18 @@ class Simulation:
             self.events["relax_exhausted"] += 1
             log.warning("vehicle %d zone %d: no clean plan after %d relaxations; "
                         "executing with control clamped", vid, zone.index, TM_RELAX_LIMIT)
-            coeffs = fallback if fallback is not None else solve_unconstrained(
-                BoundaryConditions(p0=state.s, v0=state.v, t0=t, p_mz=ap.mz_start,
-                                   tm=entry.tm, terminal_speed=vt))
+            coeffs = fallback
         passage.coeffs = coeffs
         passage.v_hold = max(terminal_speed(coeffs), 0.05)
         coord.set_terminal_speed(vid, passage.v_hold)
 
     def _replan(self, state: VehicleState, passage: _Passage, t: float) -> None:
-        vid, zone = state.vehicle_id, passage.slot.zone
-        coord = self.coordinators[zone.index]
-        entry = coord.entry(vid)
+        coord = self.coordinators[passage.slot.zone.index]
+        entry = coord.entry(state.vehicle_id)
         if entry.tm - t < 2 * self.dt:
             return   # too close to the merge to re-pose the problem
         self.events["replans"] += 1
         self._solve(state, passage, coord, entry, t)
-        rec = self.schedule_log[(vid, zone.index)]
-        rec["tm"] = coord.entry(vid).tm
-        rec["v_at_tm"] = passage.v_hold
 
     # -- per-step snapshot ---------------------------------------------------
 
@@ -533,7 +521,11 @@ class Simulation:
             located = self._snapshot(t, optimal)
             self._control(t, optimal, located, ceiling)
             self._integrate((step + 1) * self.dt, optimal)
-        schedule = [self.schedule_log[k] for k in sorted(self.schedule_log)]
+        schedule = sorted(({"vehicle": e.vehicle_id, "zone": e.zone, "t0": e.t0, "tm": e.tm,
+                            "tf": e.tf, "v_at_tm": e.v_at_tm, "relation": e.relation,
+                            "lane": e.lane, "truncated": int(e.truncated)}
+                           for coord in self.coordinators.values() for e in coord.history),
+                          key=lambda rec: (rec["vehicle"], rec["zone"]))
         return SimResult(rows=self.rows, schedule=schedule, events=self.events,
                          spawned=self._spawned, exited=self._exited,
                          active_at_end=sum(len(rt.order) for rt in self.routes))
@@ -619,7 +611,6 @@ class Simulation:
                         passage.phase = "mz"
                     if passage.phase == "mz" and st.s >= ap.mz_start + zone.mz_length - 1e-9:
                         self.coordinators[zone.index].release(st.vehicle_id, t_next)
-                        self.schedule_log[(st.vehicle_id, zone.index)]["tf"] = t_next
                         del passages[st.vehicle_id]
                 if st.s >= end:
                     rows.append((t_next, st.vehicle_id, rt.name, st.s, v_new, u,

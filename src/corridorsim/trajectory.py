@@ -126,17 +126,12 @@ class ArcSegment:
 
 @dataclass(frozen=True)
 class TrajectoryCoefficients:
-    """Solved plan: first-arc constants plus the full arc chain.
+    """Solved plan over [t0, tm]: the arc chain, first arc first.
 
-    a, b, c, d duplicate segments[0] so single-arc consumers can read the
-    constants directly; arcs lists (kind, switch_time) pairs with the
-    absolute start time of each arc.
+    arcs lists (kind, switch_time) pairs with the absolute start time of
+    each arc.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
     t0: float
     tm: float
     segments: tuple[ArcSegment, ...]
@@ -144,10 +139,6 @@ class TrajectoryCoefficients:
     @property
     def arcs(self) -> tuple[tuple[str, float], ...]:
         return tuple((seg.kind, seg.t_start) for seg in self.segments)
-
-    @property
-    def horizon(self) -> float:
-        return self.tm - self.t0
 
 
 @dataclass(frozen=True)
@@ -162,8 +153,7 @@ class Violation:
 
 def _single(bc: BoundaryConditions, a: float, b: float) -> TrajectoryCoefficients:
     seg = ArcSegment(ARC_UNCONSTRAINED, bc.t0, bc.tm, a, b, bc.v0, bc.p0)
-    return TrajectoryCoefficients(a=a, b=b, c=bc.v0, d=bc.p0,
-                                  t0=bc.t0, tm=bc.tm, segments=(seg,))
+    return TrajectoryCoefficients(bc.t0, bc.tm, (seg,))
 
 
 def solve_unconstrained(bc: BoundaryConditions) -> TrajectoryCoefficients:
@@ -347,8 +337,7 @@ def solve_with_speed_arc(bc: BoundaryConditions, bounds: Bounds,
             raise InfeasibleHorizonError(
                 f"cruise at {v_b:.3f} m/s covers {v_b * t:.3f} m, needs {dp:.3f} m")
         seg = ArcSegment(cruise_kind, bc.t0, bc.tm, 0.0, 0.0, v_b, bc.p0)
-        return TrajectoryCoefficients(a=0.0, b=0.0, c=v_b, d=bc.p0,
-                                      t0=bc.t0, tm=bc.tm, segments=(seg,))
+        return TrajectoryCoefficients(bc.t0, bc.tm, (seg,))
 
     entry_flat = abs(v0_off) < _SPEED_EPS
     exit_flat = vt_off is None or abs(vt_off) < _SPEED_EPS
@@ -367,8 +356,7 @@ def solve_with_speed_arc(bc: BoundaryConditions, bounds: Bounds,
         cruise = ArcSegment(cruise_kind, bc.t0, bc.tm - t3, 0.0, 0.0, v_b, bc.p0)
         exit_arc = ArcSegment(ARC_UNCONSTRAINED, bc.tm - t3, bc.tm,
                               a3, 0.0, v_b, bc.p0 + d_cruise)
-        return TrajectoryCoefficients(a=0.0, b=0.0, c=v_b, d=bc.p0,
-                                      t0=bc.t0, tm=bc.tm, segments=(cruise, exit_arc))
+        return TrajectoryCoefficients(bc.t0, bc.tm, (cruise, exit_arc))
 
     if exit_flat:
         # entry arc, then cruise rides the bound to tm (free terminal lands
@@ -380,8 +368,7 @@ def solve_with_speed_arc(bc: BoundaryConditions, bounds: Bounds,
         entry = _entry_arc(bc, v_b, t1)
         d_entry = t1 * (bc.v0 + 2.0 * v_b) / 3.0
         cruise = ArcSegment(cruise_kind, bc.t0 + t1, bc.tm, 0.0, 0.0, v_b, bc.p0 + d_entry)
-        return TrajectoryCoefficients(a=entry.a, b=entry.b, c=bc.v0, d=bc.p0,
-                                      t0=bc.t0, tm=bc.tm, segments=(entry, cruise))
+        return TrajectoryCoefficients(bc.t0, bc.tm, (entry, cruise))
 
     ratio = vt_off / v0_off
     if ratio < 0:
@@ -402,8 +389,7 @@ def solve_with_speed_arc(bc: BoundaryConditions, bounds: Bounds,
                         0.0, 0.0, v_b, bc.p0 + d_entry)
     exit_arc = ArcSegment(ARC_UNCONSTRAINED, bc.tm - t3, bc.tm,
                           a3, 0.0, v_b, bc.p0 + d_entry + d_cruise)
-    return TrajectoryCoefficients(a=entry.a, b=entry.b, c=bc.v0, d=bc.p0,
-                                  t0=bc.t0, tm=bc.tm, segments=(entry, cruise, exit_arc))
+    return TrajectoryCoefficients(bc.t0, bc.tm, (entry, cruise, exit_arc))
 
 
 def solve_bounded(bc: BoundaryConditions, bounds: Bounds) -> TrajectoryCoefficients:

@@ -39,7 +39,6 @@ from corridorsim.trajectory import (
     InfeasibleHorizonError,
     evaluate,
     solve_bounded,
-    solve_unconstrained,
     terminal_speed,
 )
 from corridorsim.v2x.broker import BrokerClient
@@ -86,7 +85,6 @@ class HeadUnitCore:
         self.plan = None
         self.plan_key: tuple | None = None
         self.v_hold: float | None = None
-        self.tm: float | None = None
         self.leader_id: int | None = None
 
         self.decode_errors = 0
@@ -174,7 +172,6 @@ class HeadUnitCore:
         self.plan = None
         self.plan_key = None
         self.v_hold = None
-        self.tm = None
         self.leader_id = None
 
     def _leader(self, zone: ConflictZoneSpec, ap: Approach) -> BsmFrame | None:
@@ -217,8 +214,7 @@ class HeadUnitCore:
             prev = ScheduleEntry(vehicle_id=leader.vehicle_id, zone=zone.index,
                                  t0=0.0, tm=leader.tm_s, tf=0.0,
                                  v_at_tm=max(leader.speed_mps, 0.05),
-                                 relation=relation, lane="",
-                                 dist_to_mz=leader.dist_m)
+                                 relation=relation, lane="")
         sched_v0 = max(self.v_cmd, MIN_SCHED_SPEED)
         tm = merging_time(prev, relation, shim, t, sched_v0,
                           self.bounds, self.headway)
@@ -236,19 +232,14 @@ class HeadUnitCore:
             except DegenerateHorizonError:
                 pass
             except InfeasibleHorizonError as exc:
-                if exc.partial is not None:
-                    coeffs = exc.partial
+                coeffs = exc.partial
             tm += TM_RELAX_STEP
+        # relaxed horizons clear the degenerate limit and every
+        # InfeasibleHorizonError carries a partial, so a plan is always set
         if not clean:
             self.clamped_plans += 1
             log.warning("headunit: no clean plan at d=%.1f m; clamping", self.dist)
-            if coeffs is None:
-                coeffs = solve_unconstrained(
-                    BoundaryConditions(p0=self.dist, v0=self.v_cmd, t0=t,
-                                       p_mz=ap.mz_start, tm=tm,
-                                       terminal_speed=vt))
         self.plan = coeffs
-        self.tm = coeffs.tm
         self.v_hold = max(terminal_speed(coeffs), 0.05)
 
 

@@ -82,8 +82,9 @@ def test_criterion_1_closed_form_matches_discrete_program():
         coeffs = solve_unconstrained(bc)
         ref = solve_discrete(0.0, v0, dist, horizon, end_speed=vt, n=n)
         tau = np.linspace(0.0, horizon, n + 1)
-        p_exact = (coeffs.d + coeffs.c * tau + coeffs.b * tau**2 / 2.0
-                   + coeffs.a * tau**3 / 6.0)
+        seg = coeffs.segments[0]
+        p_exact = (seg.d + seg.c * tau + seg.b * tau**2 / 2.0
+                   + seg.a * tau**3 / 6.0)
         worst_pos = max(worst_pos, float(np.max(np.abs(p_exact - ref.p))))
         cost = control_effort(coeffs)
         if cost > 1e-12:

@@ -34,8 +34,7 @@ def make_zone(cz=100.0, mz=30.0, mz_speed=10.0, kind="merge", terminal="free"):
 
 def prev_entry(tm, v_at_tm, lane="lane_a"):
     return ScheduleEntry(vehicle_id=1, zone=1, t0=0.0, tm=tm, tf=tm + 3.0,
-                         v_at_tm=v_at_tm, relation="none", lane=lane,
-                         dist_to_mz=100.0)
+                         v_at_tm=v_at_tm, relation="none", lane=lane)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_merging_time_from_leader_cross_lane(cfg):
     core.ingest(frame, 0.0)
     cmd = core.tick(0.0)
     expected = 6.0 + 15.0 / frame.speed_mps
-    assert math.isclose(core.tm, expected, rel_tol=1e-12)
+    assert math.isclose(core.plan.tm, expected, rel_tol=1e-12)
     # plan starts from the current command, so the first tick is continuous
     assert math.isclose(cmd, V40, rel_tol=1e-12)
 
@@ -77,7 +77,7 @@ def test_merging_time_from_leader_same_lane(cfg):
     core.ingest(frame, 0.0)
     core.tick(0.0)
     expected = 4.0 + 1.2 * V40 / frame.speed_mps
-    assert math.isclose(core.tm, expected, rel_tol=1e-12)
+    assert math.isclose(core.plan.tm, expected, rel_tol=1e-12)
 
 
 def test_no_leader_at_limit_is_passthrough(cfg):

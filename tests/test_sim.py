@@ -296,6 +296,26 @@ def test_released_schedule_entries_record_actual_exit_times():
         assert rec["t0"] < rec["tm"] < rec["tf"]
 
 
+@pytest.mark.parametrize("seed", [4, 5, 7])
+def test_unreleased_schedule_rows_keep_the_booked_exit(seed):
+    # a replan moves tm and v_at_tm; the booked exit must move with them
+    cfg = table1(mode="optimal", horizon=60.0, seed=seed)
+    res = sim.run(cfg)
+    reach, route_of = {}, {}
+    for _, vid, route, s, _, _, _ in res.rows:
+        reach[vid] = max(s, reach.get(vid, s))
+        route_of[vid] = route
+    checked = 0
+    for rec in res.schedule:
+        zone, ap = next((z, ap) for z, ap in cfg.zones_on(route_of[rec["vehicle"]])
+                        if z.index == rec["zone"])
+        if reach[rec["vehicle"]] >= ap.mz_start + zone.mz_length - 1e-9:
+            continue   # released: tf is the recorded exit
+        checked += 1
+        assert rec["tf"] == rec["tm"] + zone.mz_length / rec["v_at_tm"], rec
+    assert checked
+
+
 # ---------------------------------------------------------------------------
 # metrics module
 

@@ -21,6 +21,7 @@ from corridorsim.trajectory import (
     check_feasibility,
     control_effort,
     evaluate,
+    solve_bounded,
     solve_unconstrained,
     solve_with_speed_arc,
     terminal_speed,
@@ -50,10 +51,10 @@ def residuals(coeffs, bc):
 def test_cruise_solution_is_zero_control():
     bc = BoundaryConditions(p0=0.0, v0=10.0, t0=0.0, p_mz=100.0, tm=10.0)
     coeffs = solve_unconstrained(bc)
-    assert coeffs.a == pytest.approx(0.0, abs=1e-12)
-    assert coeffs.b == pytest.approx(0.0, abs=1e-12)
-    assert coeffs.c == 10.0
-    assert coeffs.d == 0.0
+    assert coeffs.segments[0].a == pytest.approx(0.0, abs=1e-12)
+    assert coeffs.segments[0].b == pytest.approx(0.0, abs=1e-12)
+    assert coeffs.segments[0].c == 10.0
+    assert coeffs.segments[0].d == 0.0
     assert [k for k, _ in coeffs.arcs] == ["unconstrained"]
 
 
@@ -72,8 +73,8 @@ def test_scheduled_follower_matches_discretized_program():
     # scheduled window is 10 + (1.2 * 13.4)/10 = 11.608 s over 100 m
     bc = BoundaryConditions(p0=0.0, v0=13.4, t0=0.0, p_mz=100.0, tm=11.608)
     coeffs = solve_unconstrained(bc)
-    assert coeffs.a == pytest.approx(0.10653964087456023, rel=1e-12)
-    assert coeffs.b == pytest.approx(-1.2367121512718955, rel=1e-12)
+    assert coeffs.segments[0].a == pytest.approx(0.10653964087456023, rel=1e-12)
+    assert coeffs.segments[0].b == pytest.approx(-1.2367121512718955, rel=1e-12)
     assert control_effort(coeffs) == pytest.approx(2.9589893697936898, rel=1e-12)
     assert terminal_speed(coeffs) == pytest.approx(6.2221226740179185, rel=1e-12)
 
@@ -90,8 +91,8 @@ def test_fixed_terminal_speed_matches_discretized_program():
     bc = BoundaryConditions(p0=0.0, v0=11.176, t0=0.0, p_mz=100.0, tm=10.0,
                             terminal_speed=8.314944)
     coeffs = solve_unconstrained(bc)
-    assert coeffs.a == pytest.approx(-0.03054336, rel=1e-9)
-    assert coeffs.b == pytest.approx(-0.1333888, rel=1e-9)
+    assert coeffs.segments[0].a == pytest.approx(-0.03054336, rel=1e-9)
+    assert coeffs.segments[0].b == pytest.approx(-0.1333888, rel=1e-9)
     assert control_effort(coeffs) == pytest.approx(0.4481527734272, rel=1e-9)
     assert max(abs(r) for r in residuals(coeffs, bc)) < 1e-9
 
@@ -176,7 +177,7 @@ def test_control_peak_violation_interval():
     tm = (-15.0 + math.sqrt(825.0)) / 2.0
     bc = BoundaryConditions(p0=0.0, v0=10.0, t0=0.0, p_mz=100.0, tm=tm)
     coeffs = solve_unconstrained(bc)
-    assert coeffs.b == pytest.approx(2.0, rel=1e-12)
+    assert coeffs.segments[0].b == pytest.approx(2.0, rel=1e-12)
     hits = check_feasibility(coeffs, TABLE)
     u_hits = [h for h in hits if h.constraint == "u_max"]
     assert len(u_hits) == 1
@@ -320,6 +321,34 @@ def test_infeasible_window_below_kinematic_floor():
                             terminal_speed=11.176)
     with pytest.raises(InfeasibleHorizonError):
         solve_with_speed_arc(bc, TABLE, "v_max")
+
+
+def test_every_infeasible_solve_carries_a_partial_plan():
+    # callers out of relaxation budget execute exc.partial with no other
+    # fallback, so every raise must carry one; the cases cover each way the
+    # unconstrained shape can fail: v_max, v_min, both, or a control bound
+    rng = np.random.default_rng(11)
+    floor = Bounds(u_min=-3.0, u_max=1.5, v_min=5.0, v_max=17.8816)
+    raised = {"v_max": 0, "v_min": 0, "both": 0, "control": 0}
+    for trial in range(3000):
+        bounds = TABLE if trial % 2 else floor
+        v0 = float(rng.uniform(0.0, 22.0))
+        vt = float(rng.uniform(0.5, 22.0)) if trial % 3 else None
+        dist = float(rng.uniform(1.0, 300.0))
+        tm = float(rng.uniform(0.1, 5.0)) if trial % 4 == 0 \
+            else dist / float(rng.uniform(0.5, 30.0))
+        bc = BoundaryConditions(p0=0.0, v0=v0, t0=0.0, p_mz=dist, tm=tm,
+                                terminal_speed=vt)
+        hits = {h.constraint for h in check_feasibility(solve_unconstrained(bc), bounds)}
+        speed = hits & {"v_max", "v_min"}
+        kind = ("both" if len(speed) == 2 else speed.pop() if speed
+                else "control" if hits else None)
+        try:
+            solve_bounded(bc, bounds)
+        except InfeasibleHorizonError as exc:
+            assert exc.partial is not None, (bc, bounds)
+            raised[kind] += 1
+    assert min(raised.values()) >= 20, raised
 
 
 # ---------------------------------------------------------------------------
