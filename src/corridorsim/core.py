@@ -67,7 +67,6 @@ _UNITS = {
     "accel": {"m/s2": 1.0, "m/s^2": 1.0, "mps2": 1.0},
     "time": {"s": 1.0, "ms": 1e-3, "min": 60.0},
     "flow": {"vph": 1 / 3600.0, "vps": 1.0},
-    "rate": {"hz": 1.0, "Hz": 1.0},
 }
 
 
@@ -179,6 +178,13 @@ class ConflictZoneSpec:
     mz_speed: float
     approaches: tuple[Approach, ...]
     terminal_rule: str
+
+    @property
+    def shared_lane(self) -> bool:
+        """True when every approach carries one lane label: the routes merge
+        into one lane and follow through the MZ. Otherwise every label is
+        distinct and the routes cross it laterally; load rejects a mix."""
+        return len({ap.lane for ap in self.approaches}) == 1
 
     def approach_for(self, route: str) -> Optional[Approach]:
         for ap in self.approaches:
@@ -342,6 +348,9 @@ def _load_zone(raw: dict, routes: dict[str, RouteSpec], path: str) -> ConflictZo
             )
         aps.append(Approach(route=rname, lane=str(lane), cz_start=cz_start, mz_start=mz_start,
                             priority=bool(ra.get("priority", False))))
+    if 1 < len({ap.lane for ap in aps}) < len(aps):
+        raise ConfigError("approaches must all share one lane label (a merge) or all carry "
+                          "distinct labels (a crossing)", f"{path}.approaches")
     return ConflictZoneSpec(index=index, kind=kind, cz_length=cz_length, mz_length=mz_length,
                             mz_speed=mz_speed, approaches=tuple(aps), terminal_rule=terminal)
 

@@ -18,9 +18,10 @@ import csv
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
-from corridorsim.coordinator import MzOccupancy, OccupancyInterval, occupancy_check
+from corridorsim.coordinator import MzOccupancy, OccupancyInterval, ScheduleEntry, occupancy_check
 from corridorsim.core import CorridorConfig
 
 __all__ = [
@@ -45,6 +46,8 @@ STOP_SPEED = 0.1
 
 _ROW_FORMAT = "%.3f,%d,%s,%.9f,%.9f,%.9f,%d\n"
 _CHUNK_ROWS = 8192   # bounds the transient text of one write
+_SCHEDULE_FORMAT = "%d,%d,%.9f,%.9f,%.9f,%.9f,%s,%s,%d\n"
+_schedule_row = attrgetter(*(f.name for f in fields(ScheduleEntry)))
 
 
 def _trace_text(rows: list[tuple]):
@@ -76,26 +79,22 @@ def read_trace(path: str) -> list[tuple]:
     return rows
 
 
-def write_schedule(path: str, schedule: list[dict]) -> None:
+def write_schedule(path: str, schedule: list[ScheduleEntry]) -> None:
+    """One row per entry, fields in ``ScheduleEntry`` order; truncated as 0/1."""
     with open(path, "w", newline="") as fh:
         fh.write(SCHEDULE_HEADER + "\n")
-        for rec in schedule:
-            fh.write(f"{rec['vehicle']},{rec['zone']},{rec['t0']:.9f},"
-                     f"{rec['tm']:.9f},{rec['tf']:.9f},{rec['v_at_tm']:.9f},"
-                     f"{rec['relation']},{rec['lane']},{rec['truncated']}\n")
+        fh.writelines(_SCHEDULE_FORMAT % _schedule_row(e) for e in schedule)
 
 
-def read_schedule(path: str) -> list[dict]:
-    out = []
+def read_schedule(path: str) -> list[ScheduleEntry]:
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            out.append({"vehicle": int(rec["vehicle"]), "zone": int(rec["zone"]),
-                        "t0": float(rec["t0"]), "tm": float(rec["tm"]),
-                        "tf": float(rec["tf"]), "v_at_tm": float(rec["v_at_tm"]),
-                        "relation": rec["relation"], "lane": rec["lane"],
-                        "truncated": int(rec["truncated"])})
-    return out
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or ",".join(header) != SCHEDULE_HEADER:
+            raise ValueError(f"{path}: not a schedule file (bad header)")
+        return [ScheduleEntry(int(vid), int(zone), float(t0), float(tm), float(tf),
+                              float(v_at_tm), relation, lane, truncated == "1")
+                for vid, zone, t0, tm, tf, v_at_tm, relation, lane, truncated in reader]
 
 
 def write_events(path: str, events: dict) -> None:
@@ -121,18 +120,6 @@ class Metrics:
     mean_stops: float = float("nan")
     completed: int = 0
     censored: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "seed": self.seed,
-            "spawned_per_route": dict(self.spawned_per_route),
-            "completed_per_route": dict(self.completed_per_route),
-            "corridor_time": self.corridor_time,
-            "zone_time": {str(k): v for k, v in sorted(self.zone_time.items())},
-            "mean_effort": self.mean_effort, "mean_work": self.mean_work,
-            "mean_stops": self.mean_stops,
-            "completed": self.completed, "censored": self.censored,
-        }
 
 
 def _per_vehicle(rows: list[tuple]) -> dict[int, list[tuple]]:
@@ -232,11 +219,7 @@ def rear_end_check(rows: list[tuple], config: CorridorConfig,
     required gap is headway * follower speed. Returns
     (t, follower, leader, gap, required) tuples."""
     h = config.headway
-    shared = []
-    for zone in config.zones:
-        lanes = [ap.lane for ap in zone.approaches]
-        if len(set(lanes)) == 1 and len(lanes) > 1:
-            shared.append(zone)
+    shared = [zone for zone in config.zones if zone.shared_lane]
     by_time: dict[float, list[tuple]] = defaultdict(list)
     for row in rows:
         by_time[row[0]].append(row)
@@ -271,7 +254,7 @@ def rear_end_check(rows: list[tuple], config: CorridorConfig,
     return violations
 
 
-def _crossing_time(vrows: list[tuple], boundary: float, dt: float) -> float | None:
+def _crossing_time(vrows: list[tuple], boundary: float) -> float | None:
     """Linear-interpolated time at which the vehicle position crosses the
     boundary; None if it never does within its rows."""
     prev = vrows[0]
@@ -300,7 +283,7 @@ def occupancy_from_trace(rows: list[tuple], config: CorridorConfig,
     by_vehicle = _per_vehicle(rows)
     conflicts = []
     for zone in config.zones:
-        if len({ap.lane for ap in zone.approaches}) < 2:
+        if zone.shared_lane:
             continue   # single shared lane: rear-end rules govern, not exclusion
         intervals = []
         for ap in zone.approaches:
@@ -308,10 +291,10 @@ def occupancy_from_trace(rows: list[tuple], config: CorridorConfig,
             for vid, vrows in by_vehicle.items():
                 if vrows[0][2] != ap.route:
                     continue
-                t_in = _crossing_time(vrows, ap.mz_start, config.dt)
+                t_in = _crossing_time(vrows, ap.mz_start)
                 if t_in is None:
                     continue
-                t_out = _crossing_time(vrows, mz_end, config.dt)
+                t_out = _crossing_time(vrows, mz_end)
                 if t_out is None:
                     t_out = t_end
                 intervals.append(OccupancyInterval(vehicle_id=vid, t_enter=t_in,

@@ -49,6 +49,8 @@ __all__ = [
     "Spawner",
     "StepContext",
     "baseline_step",
+    "MergePlan",
+    "plan_merge",
     "optimal_step",
     "SimResult",
     "Simulation",
@@ -170,6 +172,46 @@ def _time_to_cover(dist: float, v: float, accel: float, v_cap: float) -> float:
 # optimal controller
 
 
+class MergePlan(NamedTuple):
+    """A minimum-energy plan to the MZ line: ``tm`` is the merging time it
+    meets after ``relaxations`` relaxations of the booked one, ``v_hold`` the
+    speed held through the MZ. ``clean`` is False when relaxation ran out and
+    ``coeffs`` is the last attempt's partial plan, whose control clamps."""
+
+    coeffs: TrajectoryCoefficients
+    tm: float
+    v_hold: float
+    relaxations: int
+    clean: bool
+
+
+def plan_merge(p0: float, v0: float, t0: float, p_mz: float, zone: ConflictZoneSpec,
+               tm: float, bounds: Bounds) -> MergePlan:
+    """Plan from (p0, v0) at t0 to the MZ line p_mz at the booked merging
+    time tm, adding TM_RELAX_STEP to tm until a clean plan exists, at most
+    TM_RELAX_LIMIT times. The terminal speed is the zone's ``mz_speed`` or
+    free, by its terminal rule. Out of relaxations, the last ``partial`` plan
+    is returned: every relaxed horizon is well above the degenerate limit,
+    and ``solve_bounded`` attaches a partial to every InfeasibleHorizonError
+    it raises."""
+    vt = zone.mz_speed if zone.terminal_rule == "mz_speed" else None
+    coeffs = None
+    clean = False
+    for relaxations in range(TM_RELAX_LIMIT + 1):
+        if relaxations:
+            tm += TM_RELAX_STEP
+        bc = BoundaryConditions(p0=p0, v0=v0, t0=t0, p_mz=p_mz, tm=tm, terminal_speed=vt)
+        try:
+            coeffs = solve_bounded(bc, bounds)
+            clean = True
+            break
+        except DegenerateHorizonError:
+            pass
+        except InfeasibleHorizonError as exc:
+            coeffs = exc.partial
+    return MergePlan(coeffs, tm, max(terminal_speed(coeffs), 0.05), relaxations, clean)
+
+
 def optimal_step(vehicle: VehicleState, coeffs: TrajectoryCoefficients,
                  t: float, dt: float, bounds: Bounds,
                  v_hold: float) -> tuple[float, bool, float]:
@@ -201,7 +243,7 @@ def optimal_step(vehicle: VehicleState, coeffs: TrajectoryCoefficients,
 @dataclass
 class SimResult:
     rows: list[tuple]                 # (t, id, route, s, v, u, zone)
-    schedule: list[dict]
+    schedule: list[ScheduleEntry]     # sorted by (vehicle_id, zone)
     events: Counter
     spawned: int
     exited: int
@@ -232,7 +274,7 @@ class _Slot:
     def __init__(self, zone: ConflictZoneSpec, ap: Approach, config: CorridorConfig):
         self.zone = zone
         self.ap = ap
-        self.same_lane = any(o.lane == ap.lane for o in zone.approaches if o.route != ap.route)
+        self.same_lane = zone.shared_lane
         self.v_cap = min(config.route(ap.route).limit_at(ap.mz_start - 1e-6),
                          config.bounds.v_max)
         # virtual stopped leader just past the line; the follower's
@@ -283,9 +325,7 @@ class _Passage:
 
     slot: _Slot
     phase: str                        # cz | mz
-    coeffs: Optional[TrajectoryCoefficients] = None
-    v_hold: float = 0.0
-    exhausted: bool = False           # relaxation gave up; drift is expected
+    plan: Optional[MergePlan] = None  # not clean: relaxation gave up, drift is expected
     p_plan: Optional[float] = None    # plan position now; None right after planning
 
 
@@ -353,38 +393,19 @@ class Simulation:
 
     def _solve(self, state: VehicleState, passage: _Passage, coord: ZoneCoordinator,
                entry: ScheduleEntry, t: float) -> None:
-        """Plan ``passage`` from the current state, relaxing tm until a clean
-        plan exists, and book the plan's merging speed. Out of relaxations,
-        the last attempt's ``partial`` plan runs: every relaxed horizon is
-        well above the degenerate limit, and ``solve_bounded`` attaches a
-        partial to every InfeasibleHorizonError it raises."""
-        vid, zone, ap = state.vehicle_id, passage.slot.zone, passage.slot.ap
-        vt = zone.mz_speed if zone.terminal_rule == "mz_speed" else None
-        coeffs = fallback = None
-        for attempt in range(TM_RELAX_LIMIT + 1):
-            bc = BoundaryConditions(p0=state.s, v0=state.v, t0=t,
-                                    p_mz=ap.mz_start, tm=entry.tm,
-                                    terminal_speed=vt)
-            try:
-                coeffs = solve_bounded(bc, self.bounds)
-                break
-            except DegenerateHorizonError:
-                pass
-            except InfeasibleHorizonError as exc:
-                fallback = exc.partial
-            if attempt == TM_RELAX_LIMIT:
-                break
-            entry = coord.adjust_merging_time(vid, entry.tm + TM_RELAX_STEP)
-            self.events["tm_relaxations"] += 1
-        passage.exhausted = coeffs is None
-        if coeffs is None:
+        """Plan ``passage`` from the current state and book the plan's
+        merging time and speed."""
+        vid, zone = state.vehicle_id, passage.slot.zone
+        plan = passage.plan = plan_merge(state.s, state.v, t, passage.slot.ap.mz_start,
+                                         zone, entry.tm, self.bounds)
+        if plan.relaxations:
+            coord.adjust_merging_time(vid, plan.tm)
+            self.events["tm_relaxations"] += plan.relaxations
+        if not plan.clean:
             self.events["relax_exhausted"] += 1
             log.warning("vehicle %d zone %d: no clean plan after %d relaxations; "
                         "executing with control clamped", vid, zone.index, TM_RELAX_LIMIT)
-            coeffs = fallback
-        passage.coeffs = coeffs
-        passage.v_hold = max(terminal_speed(coeffs), 0.05)
-        coord.set_terminal_speed(vid, passage.v_hold)
+        coord.set_terminal_speed(vid, plan.v_hold)
 
     def _replan(self, state: VehicleState, passage: _Passage, t: float) -> None:
         coord = self.coordinators[passage.slot.zone.index]
@@ -521,11 +542,8 @@ class Simulation:
             located = self._snapshot(t, optimal)
             self._control(t, optimal, located, ceiling)
             self._integrate((step + 1) * self.dt, optimal)
-        schedule = sorted(({"vehicle": e.vehicle_id, "zone": e.zone, "t0": e.t0, "tm": e.tm,
-                            "tf": e.tf, "v_at_tm": e.v_at_tm, "relation": e.relation,
-                            "lane": e.lane, "truncated": int(e.truncated)}
-                           for coord in self.coordinators.values() for e in coord.history),
-                          key=lambda rec: (rec["vehicle"], rec["zone"]))
+        schedule = sorted((e for coord in self.coordinators.values() for e in coord.history),
+                          key=lambda e: (e.vehicle_id, e.zone))
         return SimResult(rows=self.rows, schedule=schedule, events=self.events,
                          spawned=self._spawned, exited=self._exited,
                          active_at_end=sum(len(rt.order) for rt in self.routes))
@@ -562,17 +580,19 @@ class Simulation:
                     u = baseline_step(st, leader, params,
                                       self._context(rt, slot, s, v, x, ahead, not optimal))
                 elif passage.phase == "mz":
-                    u = (passage.v_hold - v) / dt
+                    v_hold = passage.plan.v_hold
+                    u = (v_hold - v) / dt
                     u = min(max(u, u_min), u_max)
-                    if v < 0.3 and passage.v_hold < 0.3:
+                    if v < 0.3 and v_hold < 0.3:
                         u = min(u_max, 0.5)
                         events["mz_crawl_steps"] += 1
                 else:
-                    if (passage.p_plan is not None and not passage.exhausted
+                    if (passage.p_plan is not None and passage.plan.clean
                             and abs(s - passage.p_plan) > REANCHOR_TOLERANCE):
                         self._replan(st, passage, t)
+                    plan = passage.plan
                     u, clamped, passage.p_plan = optimal_step(
-                        st, passage.coeffs, t, dt, bounds, passage.v_hold)
+                        st, plan.coeffs, t, dt, bounds, plan.v_hold)
                     if clamped:
                         events["control_clamps"] += 1
                 if optimal:

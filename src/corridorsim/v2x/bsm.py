@@ -80,15 +80,11 @@ class BsmFrame:
         cz: int,
         seq: int,
         timestamp: float,
-        latitude: int = 0,
-        longitude: int = 0,
     ) -> "BsmFrame":
         """Quantize SI values (m/s, s, m) into wire units."""
         return BsmFrame(
             msg_id=MSG_BSM,
             vehicle_id=vehicle_id,
-            latitude=latitude,
-            longitude=longitude,
             speed_code=int(round(max(speed, 0.0) / SPEED_UNIT)),
             tm_ms=int(round(tm * 1000.0)),
             dist_dm=int(round(max(dist, 0.0) / DIST_UNIT)),

@@ -32,15 +32,9 @@ from corridorsim.coordinator import (
     merging_time,
 )
 from corridorsim.core import Approach, ConflictZoneSpec, CorridorConfig
-from corridorsim.sim import MIN_SCHED_SPEED, TM_RELAX_LIMIT, TM_RELAX_STEP
-from corridorsim.trajectory import (
-    BoundaryConditions,
-    DegenerateHorizonError,
-    InfeasibleHorizonError,
-    evaluate,
-    solve_bounded,
-    terminal_speed,
-)
+from corridorsim.sim import MIN_SCHED_SPEED, plan_merge
+# solve_bounded is unused here; benchmarks/layers.py patches this name
+from corridorsim.trajectory import evaluate, solve_bounded  # noqa: F401
 from corridorsim.v2x.broker import BrokerClient
 from corridorsim.v2x.bsm import MSG_SPAT, BsmFrame, FrameError, decode_bsm
 
@@ -193,12 +187,6 @@ class HeadUnitCore:
                 best = frame
         return best
 
-    def _relation(self, zone: ConflictZoneSpec) -> str:
-        # The frame carries no lane, so the relation is read off the zone: a
-        # single shared lane label means any leader is a same-lane one.
-        lanes = {a.lane for a in zone.approaches}
-        return RELATION_SAME_LANE if len(lanes) == 1 else RELATION_CONFLICT_LANE
-
     def _replan(self, zone: ConflictZoneSpec, ap: Approach,
                 leader: BsmFrame | None, t: float) -> None:
         self.replans += 1
@@ -210,7 +198,9 @@ class HeadUnitCore:
             relation = RELATION_NONE
             prev = None
         else:
-            relation = self._relation(zone)
+            # the frame carries no lane: in a shared-lane zone any leader
+            # is a same-lane one
+            relation = RELATION_SAME_LANE if zone.shared_lane else RELATION_CONFLICT_LANE
             prev = ScheduleEntry(vehicle_id=leader.vehicle_id, zone=zone.index,
                                  t0=0.0, tm=leader.tm_s, tf=0.0,
                                  v_at_tm=max(leader.speed_mps, 0.05),
@@ -218,29 +208,12 @@ class HeadUnitCore:
         sched_v0 = max(self.v_cmd, MIN_SCHED_SPEED)
         tm = merging_time(prev, relation, shim, t, sched_v0,
                           self.bounds, self.headway)
-        vt = zone.mz_speed if zone.terminal_rule == "mz_speed" else None
-
-        coeffs = None
-        clean = False
-        for _ in range(TM_RELAX_LIMIT + 1):
-            bc = BoundaryConditions(p0=self.dist, v0=self.v_cmd, t0=t,
-                                    p_mz=ap.mz_start, tm=tm, terminal_speed=vt)
-            try:
-                coeffs = solve_bounded(bc, self.bounds)
-                clean = True
-                break
-            except DegenerateHorizonError:
-                pass
-            except InfeasibleHorizonError as exc:
-                coeffs = exc.partial
-            tm += TM_RELAX_STEP
-        # relaxed horizons clear the degenerate limit and every
-        # InfeasibleHorizonError carries a partial, so a plan is always set
-        if not clean:
+        plan = plan_merge(self.dist, self.v_cmd, t, ap.mz_start, zone, tm, self.bounds)
+        if not plan.clean:
             self.clamped_plans += 1
             log.warning("headunit: no clean plan at d=%.1f m; clamping", self.dist)
-        self.plan = coeffs
-        self.v_hold = max(terminal_speed(coeffs), 0.05)
+        self.plan = plan.coeffs
+        self.v_hold = plan.v_hold
 
 
 def command_stream(frames: Iterable[BsmFrame], core: HeadUnitCore,

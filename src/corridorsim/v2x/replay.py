@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Iterator
 
+from corridorsim.coordinator import ScheduleEntry
 from corridorsim.core import CorridorConfig
 from corridorsim.metrics import read_schedule, read_trace
 from corridorsim.v2x.broker import BrokerClient
@@ -30,7 +31,7 @@ def _mz_positions(config: CorridorConfig) -> dict[tuple[str, int], float]:
 def frames_from_trace(
     rows: Iterable[tuple],
     config: CorridorConfig,
-    schedule: list[dict] | None = None,
+    schedule: list[ScheduleEntry] | None = None,
 ) -> Iterator[BsmFrame]:
     """Yield one frame per trace row, in row order.
 
@@ -39,9 +40,7 @@ def frames_from_trace(
     carry a zero merging time.
     """
     mz_at = _mz_positions(config)
-    tm_at: dict[tuple[int, int], float] = {}
-    for rec in schedule or ():
-        tm_at[(rec["vehicle"], rec["zone"])] = rec["tm"]
+    tm_at = {(e.vehicle_id, e.zone): e.tm for e in schedule or ()}
     seq: dict[int, int] = {}
     for t, vid, route, s, v, _u, zone in rows:
         if zone > 0:

@@ -58,6 +58,19 @@ def test_table1_document_loads():
     # both SRZ approaches share one physical lane
     lanes = {ap.lane for ap in srz.approaches}
     assert len(lanes) == 1
+    assert [z.shared_lane for z in cfg.zones] == [False, True, False]
+
+
+def test_mixed_lane_zone_rejected():
+    # zone 3 gets a third approach; its lane label decides merge or crossing
+    ring = "      - {route: ring, lane: circulating, mz_entry: 350 m, priority: true}\n"
+    third = "      - {route: highway, lane: %s, mz_entry: 110 m, priority: false}\n"
+    mixed = table1_text().replace(ring, ring + third % "approach")
+    with pytest.raises(ConfigError, match="lane label") as exc:
+        load_config(mixed)
+    assert exc.value.path == "zones[2].approaches"
+    distinct = load_config(table1_text().replace(ring, ring + third % "third"))
+    assert len(distinct.zones[2].approaches) == 3 and not distinct.zones[2].shared_lane
 
 
 def test_positive_u_min_rejected():

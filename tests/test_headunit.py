@@ -11,6 +11,7 @@ from corridorsim.v2x.broker import Broker
 from corridorsim.v2x.bsm import MSG_SPAT, BsmFrame, decode_bsm, encode_bsm
 from corridorsim.v2x.headunit import HeadUnitCore, command_stream, run_over_socket
 from corridorsim.v2x.replay import frames_from_trace, publish_frames
+from corridorsim.trajectory import terminal_speed
 
 BENCH = "configs/bench.yaml"
 V40 = 17.8816  # 40 mph
@@ -88,6 +89,17 @@ def test_no_leader_at_limit_is_passthrough(cfg):
         cmd = core.tick(0.1 * k)
         assert math.isclose(cmd, V40, abs_tol=1e-9)
     assert core.leader_id is None and core.replans == 1
+
+
+def test_unreachable_merge_runs_the_clamped_partial_plan(cfg):
+    # 5 m before zone 2's MZ line at 40 mph: no merging time gives a clean
+    # plan down to 18.6 mph
+    core = HeadUnitCore(cfg)
+    core.dist = 695.0
+    core.tick(0.0)
+    assert core.replans == 1 and core.clamped_plans == 1
+    assert core.plan is not None
+    assert core.v_hold == max(terminal_speed(core.plan), 0.05)
 
 
 def test_stale_feed_holds_last_command(cfg):

@@ -11,8 +11,23 @@ import pytest
 
 from corridorsim.core import BaselineParams, Bounds, VehicleState, load_config, load_config_file
 from corridorsim import metrics, sim
-from corridorsim.sim import Spawner, StepContext, baseline_step, optimal_step
-from corridorsim.trajectory import BoundaryConditions, solve_unconstrained
+from corridorsim.sim import (
+    TM_RELAX_LIMIT,
+    TM_RELAX_STEP,
+    Spawner,
+    StepContext,
+    baseline_step,
+    optimal_step,
+    plan_merge,
+)
+from corridorsim.trajectory import (
+    BoundaryConditions,
+    InfeasibleHorizonError,
+    solve_bounded,
+    solve_unconstrained,
+    terminal_speed,
+)
+from corridorsim.v2x.replay import frames_from_trace
 
 TABLE1 = "configs/table1.yaml"
 
@@ -127,6 +142,47 @@ def test_tracking_extrapolates_past_the_merging_time():
     u, _, p_plan = optimal_step(veh, coeffs, 9.95, 0.1, BOUNDS, 10.0)
     assert u == pytest.approx(0.0, abs=1e-9)
     assert p_plan == pytest.approx(100.0, abs=1e-9)  # held at the plan's end
+
+
+def _relaxed(tm, k):
+    for _ in range(k):
+        tm += TM_RELAX_STEP
+    return tm
+
+
+def test_plan_merge_clean_at_first_attempt_keeps_the_booked_tm():
+    cfg = table1()
+    plan = plan_merge(250.0, 15.0, 0.0, 350.0, cfg.zones[0], 8.0, cfg.bounds)
+    assert plan.clean and plan.relaxations == 0 and plan.tm == 8.0
+    assert plan.coeffs.tm == 8.0
+    assert plan.v_hold == max(terminal_speed(plan.coeffs), 0.05)
+
+
+def test_plan_merge_relaxes_tm_by_repeated_steps():
+    # zone 1 at v_max, booked 0.42 s sooner than v_max covers the 100 m
+    cfg = table1()
+    v = cfg.bounds.v_max
+    tm = 100.0 / v - 0.42
+    plan = plan_merge(250.0, v, 0.0, 350.0, cfg.zones[0], tm, cfg.bounds)
+    assert plan.clean and plan.relaxations == 5
+    assert plan.tm == _relaxed(tm, 5)
+    with pytest.raises(InfeasibleHorizonError):
+        solve_bounded(BoundaryConditions(p0=250.0, v0=v, t0=0.0, p_mz=350.0,
+                                         tm=_relaxed(tm, 4)), cfg.bounds)
+
+
+def test_plan_merge_out_of_relaxations_returns_the_partial_plan():
+    # 5 m before zone 2's MZ line at 40 mph: reaching 18.6 mph there takes
+    # about 25 m/s^2 of braking, whatever the merging time
+    cfg = table1()
+    v = cfg.bounds.v_max
+    zone = cfg.zones[1]
+    plan = plan_merge(695.0, v, 0.0, 700.0, zone, 5.0 / v, cfg.bounds)
+    assert plan.clean is False
+    assert plan.relaxations == TM_RELAX_LIMIT
+    assert plan.coeffs is not None
+    assert plan.tm == _relaxed(5.0 / v, TM_RELAX_LIMIT)
+    assert plan.v_hold == max(terminal_speed(plan.coeffs), 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +346,10 @@ def test_yielding_vehicle_stops_within_half_meter_of_the_line():
 
 def test_released_schedule_entries_record_actual_exit_times():
     res = sim.run(table1(mode="optimal", horizon=120.0))
-    finished = [rec for rec in res.schedule if rec["tf"] > rec["tm"]]
+    finished = [rec for rec in res.schedule if rec.tf > rec.tm]
     assert finished
     for rec in finished:
-        assert rec["t0"] < rec["tm"] < rec["tf"]
+        assert rec.t0 < rec.tm < rec.tf
 
 
 @pytest.mark.parametrize("seed", [4, 5, 7])
@@ -307,17 +363,44 @@ def test_unreleased_schedule_rows_keep_the_booked_exit(seed):
         route_of[vid] = route
     checked = 0
     for rec in res.schedule:
-        zone, ap = next((z, ap) for z, ap in cfg.zones_on(route_of[rec["vehicle"]])
-                        if z.index == rec["zone"])
-        if reach[rec["vehicle"]] >= ap.mz_start + zone.mz_length - 1e-9:
+        zone, ap = next((z, ap) for z, ap in cfg.zones_on(route_of[rec.vehicle_id])
+                        if z.index == rec.zone)
+        if reach[rec.vehicle_id] >= ap.mz_start + zone.mz_length - 1e-9:
             continue   # released: tf is the recorded exit
         checked += 1
-        assert rec["tf"] == rec["tm"] + zone.mz_length / rec["v_at_tm"], rec
+        assert rec.tf == rec.tm + zone.mz_length / rec.v_at_tm, rec
     assert checked
 
 
 # ---------------------------------------------------------------------------
 # metrics module
+
+
+@pytest.fixture(scope="module")
+def optimal_60s():
+    cfg = table1(mode="optimal", horizon=60.0)
+    return cfg, sim.run(cfg)
+
+
+def test_schedule_roundtrip_is_exact(tmp_path, optimal_60s):
+    _, res = optimal_60s
+    # no Table-1 run truncates a gap term; one flagged row covers the 0/1 field
+    flagged = dataclasses.replace(res.schedule[-1], vehicle_id=10**6, truncated=True)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    metrics.write_schedule(str(first), res.schedule + [flagged])
+    back = metrics.read_schedule(str(first))
+    metrics.write_schedule(str(second), back)
+    assert second.read_bytes() == first.read_bytes()
+    assert back[-1].truncated is True and not any(e.truncated for e in back[:-1])
+
+
+def test_frames_match_with_the_read_back_schedule(tmp_path, optimal_60s):
+    cfg, res = optimal_60s
+    path = tmp_path / "schedule.csv"
+    metrics.write_schedule(str(path), res.schedule)
+    frames = list(frames_from_trace(res.rows, cfg, res.schedule))
+    assert any(f.tm_ms for f in frames)
+    assert list(frames_from_trace(res.rows, cfg, metrics.read_schedule(str(path)))) == frames
 
 
 def test_trace_roundtrip_is_exact(tmp_path):
