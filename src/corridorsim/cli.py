@@ -141,8 +141,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("error: trace produced no frames", file=sys.stderr)
         return 2
 
-    broker = Broker(port=args.port, latency_ms=args.latency_ms,
-                    drop_prob=args.drop_prob).start()
+    broker = Broker(port=args.port, drop_prob=args.drop_prob).start()
     core = HeadUnitCore(cfg, route=args.route, stale_after=args.stale_after)
     stream = run_over_socket(broker.address, core, rate=args.tick_rate,
                              idle_timeout=args.idle_timeout)
@@ -197,8 +196,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_broker(args: argparse.Namespace) -> int:
     from corridorsim.v2x.broker import Broker
 
-    broker = Broker(host=args.host, port=args.port, latency_ms=args.latency_ms,
-                    drop_prob=args.drop_prob, seed=args.seed).start()
+    broker = Broker(host=args.host, port=args.port, drop_prob=args.drop_prob,
+                    seed=args.seed).start()
     host, port = broker.address
     print(f"broker listening on {host}:{port}", flush=True)
     try:
@@ -280,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stale-after", type=float, default=1.0)
     p.add_argument("--idle-timeout", type=float, default=2.0)
     p.add_argument("--port", type=int, default=0)
-    p.add_argument("--latency-ms", type=float, default=0.0)
     p.add_argument("--drop-prob", type=float, default=0.0)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--out", help="write the socket command stream as CSV")
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("broker", help="run a stand-alone broker")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7700)
-    p.add_argument("--latency-ms", type=float, default=0.0)
     p.add_argument("--drop-prob", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_broker)

@@ -295,7 +295,8 @@ def _load_route(name: str, raw: dict, path: str) -> RouteSpec:
     return RouteSpec(name=name, flow_vps=flow, segments=tuple(segs))
 
 
-def _load_zone(raw: dict, routes: dict[str, RouteSpec], path: str) -> ConflictZoneSpec:
+def _load_zone(raw: dict, routes: dict[str, RouteSpec], bounds: Bounds,
+               path: str) -> ConflictZoneSpec:
     index = _require(raw, "z", path)
     if not isinstance(index, int) or isinstance(index, bool) or index < 1:
         raise ConfigError("z must be a positive integer zone index", f"{path}.z")
@@ -311,6 +312,10 @@ def _load_zone(raw: dict, routes: dict[str, RouteSpec], path: str) -> ConflictZo
         raise ConfigError("merging zone length must be strictly positive", f"{path}.mz_length")
     if mz_speed <= 0:
         raise ConfigError("merging zone speed must be strictly positive", f"{path}.mz_speed")
+    if not bounds.v_min - 1e-9 <= mz_speed <= bounds.v_max + 1e-9:
+        raise ConfigError(
+            f"mz_speed {mz_speed:.6g} m/s lies outside the speed bounds "
+            f"[{bounds.v_min:.6g}, {bounds.v_max:.6g}] m/s", f"{path}.mz_speed")
     terminal = raw.get("terminal", "free" if kind == "merge" else "mz_speed")
     if terminal not in TERMINAL_RULES:
         raise ConfigError(f"terminal must be one of {TERMINAL_RULES}", f"{path}.terminal")
@@ -409,7 +414,7 @@ def load_config(text: str) -> CorridorConfig:
     zones = []
     seen = set()
     for i, rz in enumerate(raw_zones):
-        z = _load_zone(rz, routes, f"zones[{i}]")
+        z = _load_zone(rz, routes, bounds, f"zones[{i}]")
         if z.index in seen:
             raise ConfigError(f"duplicate zone index {z.index}", f"zones[{i}].z")
         seen.add(z.index)

@@ -21,7 +21,6 @@ __all__ = [
     "BoundaryConditions",
     "ArcSegment",
     "TrajectoryCoefficients",
-    "Violation",
     "DegenerateHorizonError",
     "InfeasibleHorizonError",
     "EvaluationWindowError",
@@ -126,29 +125,11 @@ class ArcSegment:
 
 @dataclass(frozen=True)
 class TrajectoryCoefficients:
-    """Solved plan over [t0, tm]: the arc chain, first arc first.
-
-    arcs lists (kind, switch_time) pairs with the absolute start time of
-    each arc.
-    """
+    """Solved plan over [t0, tm]: the arc chain, first arc first."""
 
     t0: float
     tm: float
     segments: tuple[ArcSegment, ...]
-
-    @property
-    def arcs(self) -> tuple[tuple[str, float], ...]:
-        return tuple((seg.kind, seg.t_start) for seg in self.segments)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """Closed interval [t_start, t_end] where a bound is exceeded."""
-
-    constraint: str   # u_min | u_max | v_min | v_max
-    t_start: float
-    t_end: float
-    peak: float
 
 
 def _single(bc: BoundaryConditions, a: float, b: float) -> TrajectoryCoefficients:
@@ -210,95 +191,41 @@ def control_effort(coeffs: TrajectoryCoefficients) -> float:
 # feasibility
 
 
-def _intervals_above(qa: float, qb: float, qc: float, span: float,
-                     tol: float) -> list[tuple[float, float]]:
-    """Sub-intervals of [0, span] where qa*x^2 + qb*x + qc > tol."""
-    out: list[tuple[float, float]] = []
-    if abs(qa) < 1e-15:
-        if abs(qb) < 1e-15:
-            if qc > tol:
-                out.append((0.0, span))
-            return out
-        root = -qc / qb
-        if qb > 0:
-            lo, hi = max(root, 0.0), span
-        else:
-            lo, hi = 0.0, min(root, span)
-        if hi - lo > 1e-12 and (qa * 0 + qb * (0.5 * (lo + hi)) + qc) > 0:
-            out.append((lo, hi))
-        return out
-    disc = qb * qb - 4.0 * qa * qc
-    if disc <= 0:
-        if qa > 0 and qc > tol:
-            out.append((0.0, span))
-        return out
-    sq = math.sqrt(disc)
-    r1 = (-qb - sq) / (2.0 * qa)
-    r2 = (-qb + sq) / (2.0 * qa)
-    lo_r, hi_r = min(r1, r2), max(r1, r2)
-    if qa > 0:
-        candidates = [(0.0, lo_r), (hi_r, span)]
-    else:
-        candidates = [(lo_r, hi_r)]
-    for lo, hi in candidates:
-        lo, hi = max(lo, 0.0), min(hi, span)
-        if hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if qa * mid * mid + qb * mid + qc > 0:
-                out.append((lo, hi))
-    return out
-
-
-def _peak_quad(qa: float, qb: float, qc: float, lo: float, hi: float) -> float:
-    vals = [qa * x * x + qb * x + qc for x in (lo, hi)]
+def _peak_quad(qa: float, qb: float, qc: float, span: float) -> float:
+    """Largest value of qa*x^2 + qb*x + qc over [0, span]: an endpoint, or
+    the vertex when it lies inside."""
+    vals = [qa * x * x + qb * x + qc for x in (0.0, span)]
     if abs(qa) > 1e-15:
         vx = -qb / (2.0 * qa)
-        if lo < vx < hi:
+        if 0.0 < vx < span:
             vals.append(qa * vx * vx + qb * vx + qc)
     return max(vals)
 
 
-def _merge_adjacent(violations: list[Violation]) -> list[Violation]:
-    merged: list[Violation] = []
-    for v in sorted(violations, key=lambda x: (x.constraint, x.t_start)):
-        if merged and merged[-1].constraint == v.constraint \
-                and v.t_start - merged[-1].t_end <= 1e-9:
-            prev = merged.pop()
-            merged.append(Violation(v.constraint, prev.t_start, max(prev.t_end, v.t_end),
-                                    max(prev.peak, v.peak)))
-        else:
-            merged.append(v)
-    return merged
-
-
 def check_feasibility(coeffs: TrajectoryCoefficients, bounds: Bounds,
-                      tol: float = 1e-9) -> list[Violation]:
-    """All (constraint, interval) pairs where u or v exits the envelope.
+                      tol: float = 1e-9) -> set[str]:
+    """Names of the bounds (u_min, u_max, v_min, v_max) that u or v exceeds
+    by more than tol somewhere in the plan window.
 
-    Intervals come from polynomial roots per arc, not sampling, so boundary
-    grazes at exactly the limit are not violations.
+    Each arc's extremum is exact, not sampled, so a graze at exactly the
+    limit is not a violation.
     """
-    found: list[Violation] = []
+    broken: set[str] = set()
     for seg in coeffs.segments:
         span = seg.span
         if span <= 0:
             continue
-        # each check is the exceedance polynomial qa*tau^2 + qb*tau + qc > 0,
-        # with sign +1 when the peak sits above the bound and -1 below it
-        checks = [
-            ("u_max", 0.0, seg.a, seg.b - bounds.u_max, bounds.u_max, +1.0),
-            ("u_min", 0.0, -seg.a, bounds.u_min - seg.b, bounds.u_min, -1.0),
-            ("v_max", 0.5 * seg.a, seg.b, seg.c - bounds.v_max, bounds.v_max, +1.0),
-            ("v_min", -0.5 * seg.a, -seg.b, bounds.v_min - seg.c, bounds.v_min, -1.0),
-        ]
-        for name, qa, qb, qc, bound, sign in checks:
-            for lo, hi in _intervals_above(qa, qb, qc, span, tol):
-                excess = _peak_quad(qa, qb, qc, lo, hi)
-                if excess <= tol:
-                    continue
-                found.append(Violation(name, seg.t_start + lo, seg.t_start + hi,
-                                       bound + sign * excess))
-    return _merge_adjacent(found)
+        # each check is the exceedance polynomial qa*tau^2 + qb*tau + qc,
+        # positive where the bound is exceeded
+        checks = (
+            ("u_max", 0.0, seg.a, seg.b - bounds.u_max),
+            ("u_min", 0.0, -seg.a, bounds.u_min - seg.b),
+            ("v_max", 0.5 * seg.a, seg.b, seg.c - bounds.v_max),
+            ("v_min", -0.5 * seg.a, -seg.b, bounds.v_min - seg.c),
+        )
+        broken.update(name for name, qa, qb, qc in checks
+                      if _peak_quad(qa, qb, qc, span) > tol)
+    return broken
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +329,18 @@ def solve_bounded(bc: BoundaryConditions, bounds: Bounds) -> TrajectoryCoefficie
     unconstrained shape) for callers that must execute something anyway.
     """
     coeffs = solve_unconstrained(bc)
-    speed_hits = {h.constraint for h in check_feasibility(coeffs, bounds)
-                  if h.constraint in ("v_max", "v_min")}
+    speed_hits = check_feasibility(coeffs, bounds) & {"v_max", "v_min"}
     try:
-        if speed_hits == {"v_max"}:
-            coeffs = solve_with_speed_arc(bc, bounds, "v_max")
-        elif speed_hits == {"v_min"}:
-            coeffs = solve_with_speed_arc(bc, bounds, "v_min")
-        elif speed_hits:
+        if len(speed_hits) == 2:
             raise InfeasibleHorizonError("both speed bounds violated")
+        if speed_hits:
+            coeffs = solve_with_speed_arc(bc, bounds, speed_hits.pop())
     except InfeasibleHorizonError as exc:
         if exc.partial is None:
             exc.partial = coeffs
         raise
-    if check_feasibility(coeffs, bounds):
-        raise InfeasibleHorizonError("control bound binds over the window",
-                                     partial=coeffs)
+    broken = check_feasibility(coeffs, bounds)
+    if broken:
+        raise InfeasibleHorizonError(
+            f"{', '.join(sorted(broken))} violated over the window", partial=coeffs)
     return coeffs

@@ -20,7 +20,6 @@ import random
 import socket
 import struct
 import threading
-import time
 import uuid
 
 log = logging.getLogger(__name__)
@@ -97,14 +96,12 @@ class Broker:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        latency_ms: float = 0.0,
         drop_prob: float = 0.0,
         seed: int = 0,
     ):
         self._listener = socket.create_server((host, port))
         self._host = host
         self._port = self._listener.getsockname()[1]
-        self._latency = latency_ms / 1000.0
         self._drop_prob = drop_prob
         self._rng = random.Random(seed)
         self._subs: dict[str, list[socket.socket]] = {}
@@ -164,8 +161,6 @@ class Broker:
 
     def _dispatch(self, topic: str, payload: bytes) -> None:
         frame = encode_publish(topic, payload)
-        if self._latency > 0:
-            time.sleep(self._latency)
         with self._lock:
             self.published += 1
             targets = list(self._subs.get(topic, ()))

@@ -94,6 +94,20 @@ def test_mz_speed_above_segment_limit_rejected():
         load_config(doc)
 
 
+@pytest.mark.parametrize("old, new, path", [
+    # zones 1 and 3 hold 40 and 25 mph above a 20 mph ceiling
+    ("v_max: 40 mph", "v_max: 20 mph", "zones[0].mz_speed"),
+    # zone 2's 18.6 mph sits below a 20 mph floor
+    ("v_min: 0 m/s", "v_min: 20 mph", "zones[1].mz_speed"),
+])
+def test_mz_speed_outside_speed_bounds_rejected(old, new, path):
+    doc = table1_text().replace(old, new, 1)
+    assert new in doc
+    with pytest.raises(ConfigError, match="speed bounds") as info:
+        load_config(doc)
+    assert info.value.path == path
+
+
 def test_overlapping_zones_rejected():
     doc = table1_text().replace("- {route: main, lane: srz, mz_entry: 700 m, priority: true}",
                                 "- {route: main, lane: srz, mz_entry: 420 m, priority: true}")
