@@ -20,6 +20,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
+from typing import Iterator
 
 from corridorsim.coordinator import MzOccupancy, OccupancyInterval, ScheduleEntry, occupancy_check
 from corridorsim.core import CorridorConfig
@@ -27,6 +28,7 @@ from corridorsim.core import CorridorConfig
 __all__ = [
     "TRACE_HEADER",
     "write_trace",
+    "iter_trace",
     "read_trace",
     "write_schedule",
     "read_schedule",
@@ -65,18 +67,25 @@ def trace_bytes(rows: list[tuple]) -> bytes:
     return "".join(_trace_text(rows)).encode()
 
 
-def read_trace(path: str) -> list[tuple]:
-    rows = []
+def iter_trace(path: str) -> Iterator[tuple]:
+    """Trace rows one at a time, typed as ``read_trace`` returns them."""
     routes: dict[str, str] = {}   # one string per route name, not one per row
+    times: dict[str, float] = {}  # one float per time step, not one per row
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or ",".join(header) != TRACE_HEADER:
             raise ValueError(f"{path}: not a trace file (bad header)")
         for t, vid, route, s, v, u, zone in reader:
-            rows.append((float(t), int(vid), routes.setdefault(route, route), float(s),
-                         float(v), float(u), int(zone)))
-    return rows
+            tf = times.get(t)
+            if tf is None:
+                tf = times[t] = float(t)
+            yield (tf, int(vid), routes.setdefault(route, route), float(s),
+                   float(v), float(u), int(zone))
+
+
+def read_trace(path: str) -> list[tuple]:
+    return list(iter_trace(path))
 
 
 def write_schedule(path: str, schedule: list[ScheduleEntry]) -> None:

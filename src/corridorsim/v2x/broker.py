@@ -7,8 +7,10 @@ many payload bytes.  Payload opcodes:
 * 0x02 PUBLISH: u16 big-endian topic length, topic bytes, message bytes.
 
 Deliveries to subscribers reuse the PUBLISH shape so one parser serves both
-directions.  Topics match exactly (no wildcards), fan-out happens in arrival
-order under a single dispatch lock, and per-connection ordering is preserved.
+directions: the broker forwards each PUBLISH frame as it received it.
+Topics match exactly (no wildcards).  Fan-out runs per received batch, the
+frames one read returned, under a single dispatch lock, in arrival order, so
+per-connection ordering is preserved.
 There is no persistence and no acknowledgement; a publish with no subscribers
 is dropped.  A malformed frame closes the offending connection.
 """
@@ -21,6 +23,8 @@ import socket
 import struct
 import threading
 import uuid
+from collections import deque
+from typing import Iterable
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +34,7 @@ OP_PUBLISH = 0x02
 _LEN = struct.Struct(">I")
 _TOPIC_LEN = struct.Struct(">H")
 MAX_FRAME = 1 << 20  # sanity cap so a corrupt length cannot balloon memory
+READ_SIZE = 1 << 16  # bytes asked of one recv, and the most one coalesced write sends
 SYNC_PREFIX = "__sync/"  # single-use echo topics of BrokerClient.sync
 
 
@@ -64,29 +69,53 @@ def parse_payload(payload: bytes):
     raise ProtocolError(f"unknown opcode {op:#x}")
 
 
-def send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(_LEN.pack(len(payload)) + payload)
+class FrameReader:
+    """Whole frames from a stream socket, read up to 64 KiB at a time.
 
+    Each frame keeps its length prefix, so a broker can forward it as it
+    came.  A frame split across reads is held until its last byte arrives,
+    also across a socket timeout.
+    """
 
-def recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf.extend(chunk)
-    return bytes(buf)
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buf = b""
 
+    def read(self) -> list[bytes] | None:
+        """The next whole frames, in order; ``None`` on orderly shutdown.
 
-def recv_frame(sock: socket.socket) -> bytes | None:
-    """One framed payload, or None on orderly shutdown."""
-    head = recv_exact(sock, _LEN.size)
-    if head is None:
-        return None
-    (size,) = _LEN.unpack(head)
-    if size > MAX_FRAME:
-        raise ProtocolError(f"frame of {size} bytes exceeds cap")
-    return recv_exact(sock, size)
+        Blocks until at least one frame is complete and returns every frame
+        that one ``recv`` completed.  A length prefix over ``MAX_FRAME``
+        raises ``ProtocolError`` once the frames before it are handed out.
+        """
+        while True:
+            frames = self._split()
+            if frames:
+                return frames
+            chunk = self._sock.recv(READ_SIZE)
+            if not chunk:
+                return None
+            self._buf += chunk
+
+    def _split(self) -> list[bytes]:
+        buf = self._buf
+        n = len(buf)
+        off = 0
+        frames = []
+        while n - off >= _LEN.size:
+            (size,) = _LEN.unpack_from(buf, off)
+            if size > MAX_FRAME:
+                if frames:
+                    break
+                raise ProtocolError(f"frame of {size} bytes exceeds cap")
+            end = off + _LEN.size + size
+            if end > n:
+                break
+            frames.append(buf[off:end])
+            off = end
+        if off:
+            self._buf = buf[off:]
+        return frames
 
 
 class Broker:
@@ -141,17 +170,13 @@ class Broker:
                 self._threads.append(t)
 
     def _serve(self, conn: socket.socket) -> None:
+        reader = FrameReader(conn)
         try:
             while True:
-                payload = recv_frame(conn)
-                if payload is None:
+                frames = reader.read()
+                if frames is None:
                     break
-                parsed = parse_payload(payload)
-                if parsed[0] == "subscribe":
-                    with self._lock:
-                        self._subs.setdefault(parsed[1], []).append(conn)
-                else:
-                    self._dispatch(parsed[1], parsed[2])
+                self._dispatch(conn, frames)
         except (ProtocolError, UnicodeDecodeError) as exc:
             log.warning("closing connection after malformed frame: %s", exc)
         except OSError:
@@ -159,25 +184,48 @@ class Broker:
         finally:
             self._forget(conn)
 
-    def _dispatch(self, topic: str, payload: bytes) -> None:
-        frame = encode_publish(topic, payload)
+    def _dispatch(self, conn: socket.socket, frames: list[bytes]) -> None:
+        """Handle one read's frames in order under one hold of the lock.
+
+        A PUBLISH frame is forwarded as received, length prefix included.
+        Each subscriber gets one write per run of frames between
+        subscribes: a SUBSCRIBE first sends what the frames before it
+        queued, so the stream up to a subscription is out before it counts,
+        as when frames were handled one at a time.  Frames before a
+        malformed one are still sent.
+        """
+        outbox: dict[socket.socket, list[bytes]] = {}
         with self._lock:
-            self.published += 1
-            targets = list(self._subs.get(topic, ()))
-            dead = []
-            for sub in targets:
-                if self._drop_prob > 0 and self._rng.random() < self._drop_prob:
-                    self.dropped += 1
-                    continue
-                try:
-                    send_frame(sub, frame)
-                    self.delivered += 1
-                except OSError:
-                    dead.append(sub)
-            for sub in dead:
-                self._forget_locked(sub)
-            if topic.startswith(SYNC_PREFIX):
-                self._subs.pop(topic, None)   # its one echo is out
+            try:
+                for raw in frames:
+                    parsed = parse_payload(raw[_LEN.size:])
+                    if parsed[0] == "subscribe":
+                        self._flush_locked(outbox)
+                        self._subs.setdefault(parsed[1], []).append(conn)
+                        continue
+                    topic = parsed[1]
+                    self.published += 1
+                    for sub in self._subs.get(topic, ()):
+                        if self._drop_prob > 0 and self._rng.random() < self._drop_prob:
+                            self.dropped += 1
+                            continue
+                        outbox.setdefault(sub, []).append(raw)
+                    if topic.startswith(SYNC_PREFIX):
+                        self._subs.pop(topic, None)   # its one echo is out
+            finally:
+                self._flush_locked(outbox)
+
+    def _flush_locked(self, outbox: dict[socket.socket, list[bytes]]) -> None:
+        dead = []
+        for sub, raws in outbox.items():
+            try:
+                sub.sendall(b"".join(raws))
+                self.delivered += len(raws)
+            except OSError:
+                dead.append(sub)
+        outbox.clear()
+        for sub in dead:
+            self._forget_locked(sub)
 
     def _forget(self, conn: socket.socket) -> None:
         with self._lock:
@@ -232,19 +280,44 @@ class BrokerClient:
     def __init__(self, address: tuple[str, int], timeout: float | None = None):
         self._sock = socket.create_connection(address, timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._reader = FrameReader(self._sock)
+        self._inbox: deque[bytes] = deque()
 
     def subscribe(self, topic: str) -> None:
-        send_frame(self._sock, encode_subscribe(topic))
+        self.send_raw(encode_subscribe(topic))
 
     def publish(self, topic: str, payload: bytes) -> None:
-        send_frame(self._sock, encode_publish(topic, payload))
+        self.publish_many(((topic, payload),))
+
+    def publish_many(self, messages: Iterable[tuple[str, bytes]]) -> int:
+        """Publish each (topic, payload) in order; returns the count.
+
+        Frames are coalesced into writes of up to ``READ_SIZE`` bytes; all
+        of them are sent when this returns.
+        """
+        parts: list[bytes] = []
+        size = sent = 0
+        for topic, payload in messages:
+            data = encode_publish(topic, payload)
+            if size + _LEN.size + len(data) > READ_SIZE and parts:
+                self._sock.sendall(b"".join(parts))
+                parts.clear()
+                size = 0
+            parts += (_LEN.pack(len(data)), data)
+            size += _LEN.size + len(data)
+            sent += 1
+        if parts:
+            self._sock.sendall(b"".join(parts))
+        return sent
 
     def recv(self) -> tuple[str, bytes] | None:
         """Next (topic, payload) delivery, or None when the broker hangs up."""
-        payload = recv_frame(self._sock)
-        if payload is None:
-            return None
-        parsed = parse_payload(payload)
+        if not self._inbox:
+            frames = self._reader.read()
+            if frames is None:
+                return None
+            self._inbox.extend(frames)
+        parsed = parse_payload(self._inbox.popleft()[_LEN.size:])
         if parsed[0] != "publish":
             raise ProtocolError("unexpected non-publish delivery")
         return (parsed[1], parsed[2])
@@ -265,7 +338,7 @@ class BrokerClient:
             raise ProtocolError("sync echo lost; is another publisher running?")
 
     def send_raw(self, payload: bytes) -> None:
-        send_frame(self._sock, payload)
+        self._sock.sendall(_LEN.pack(len(payload)) + payload)
 
     def settimeout(self, timeout: float | None) -> None:
         self._sock.settimeout(timeout)

@@ -24,7 +24,7 @@ decode(encode(frame)) round trip is exact; helpers convert to SI.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MSG_BSM = 0x14
 MSG_SPAT = 0x13
@@ -40,14 +40,18 @@ _U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
 _I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
 _CZ_MAX = 3
+_MSG_IDS = (MSG_BSM, MSG_SPAT)
+
+
+# builds a frame straight from a field tuple, skipping the keyword parsing
+_new = tuple.__new__
 
 
 class FrameError(ValueError):
     """Raised when a frame cannot be encoded or decoded."""
 
 
-@dataclass(frozen=True)
-class BsmFrame:
+class BsmFrame(NamedTuple):
     msg_id: int = MSG_BSM
     vehicle_id: int = 0
     latitude: int = 0
@@ -82,68 +86,58 @@ class BsmFrame:
         timestamp: float,
     ) -> "BsmFrame":
         """Quantize SI values (m/s, s, m) into wire units."""
-        return BsmFrame(
-            msg_id=MSG_BSM,
-            vehicle_id=vehicle_id,
-            speed_code=int(round(max(speed, 0.0) / SPEED_UNIT)),
-            tm_ms=int(round(tm * 1000.0)),
-            dist_dm=int(round(max(dist, 0.0) / DIST_UNIT)),
-            cz=cz,
-            seq=seq & 0xFF,
-            timestamp_ms=int(round(timestamp * 1000.0)),
-        )
+        return _new(BsmFrame, (
+            MSG_BSM,
+            vehicle_id,
+            0,
+            0,
+            int(round(max(speed, 0.0) / SPEED_UNIT)),
+            int(round(tm * 1000.0)),
+            int(round(max(dist, 0.0) / DIST_UNIT)),
+            cz,
+            seq & 0xFF,
+            int(round(timestamp * 1000.0)),
+        ))
 
 
-def _check(cond: bool, what: str) -> None:
-    if not cond:
-        raise FrameError(what)
+def _encode_error(frame: BsmFrame) -> str:
+    """The message of the first range check ``frame`` fails, in field order."""
+    checks = (
+        (frame.msg_id in _MSG_IDS, f"unknown msg_id {frame.msg_id:#x}"),
+        (0 <= frame.vehicle_id <= _U32_MAX, "vehicle_id out of u32 range"),
+        (_I32_MIN <= frame.latitude <= _I32_MAX, "latitude out of i32 range"),
+        (_I32_MIN <= frame.longitude <= _I32_MAX, "longitude out of i32 range"),
+        (0 <= frame.speed_code <= _U16_MAX, "speed out of u16 range"),
+        (_I32_MIN <= frame.tm_ms <= _I32_MAX, "merging time out of i32 range"),
+        (0 <= frame.dist_dm <= _U16_MAX, "distance out of u16 range"),
+        (0 <= frame.cz <= _CZ_MAX, f"zone id {frame.cz} out of range 0..{_CZ_MAX}"),
+        (0 <= frame.seq <= 0xFF, "seq out of u8 range"),
+        (0 <= frame.timestamp_ms <= _U32_MAX, "timestamp out of u32 range"),
+    )
+    return next(message for ok, message in checks if not ok)
 
 
 def encode_bsm(frame: BsmFrame) -> bytes:
-    _check(frame.msg_id in (MSG_BSM, MSG_SPAT), f"unknown msg_id {frame.msg_id:#x}")
-    _check(0 <= frame.vehicle_id <= _U32_MAX, "vehicle_id out of u32 range")
-    _check(_I32_MIN <= frame.latitude <= _I32_MAX, "latitude out of i32 range")
-    _check(_I32_MIN <= frame.longitude <= _I32_MAX, "longitude out of i32 range")
-    _check(0 <= frame.speed_code <= _U16_MAX, "speed out of u16 range")
-    _check(_I32_MIN <= frame.tm_ms <= _I32_MAX, "merging time out of i32 range")
-    _check(0 <= frame.dist_dm <= _U16_MAX, "distance out of u16 range")
-    _check(0 <= frame.cz <= _CZ_MAX, f"zone id {frame.cz} out of range 0..{_CZ_MAX}")
-    _check(0 <= frame.seq <= 0xFF, "seq out of u8 range")
-    _check(0 <= frame.timestamp_ms <= _U32_MAX, "timestamp out of u32 range")
-    return _LAYOUT.pack(
-        frame.msg_id,
-        frame.vehicle_id,
-        frame.latitude,
-        frame.longitude,
-        frame.speed_code,
-        frame.tm_ms,
-        frame.dist_dm,
-        frame.cz,
-        frame.seq,
-        frame.timestamp_ms,
-    )
+    msg_id, vid, lat, lon, speed, tm_ms, dist, cz, seq, ts = frame
+    if (msg_id in _MSG_IDS and 0 <= vid <= _U32_MAX
+            and _I32_MIN <= lat <= _I32_MAX and _I32_MIN <= lon <= _I32_MAX
+            and 0 <= speed <= _U16_MAX and _I32_MIN <= tm_ms <= _I32_MAX
+            and 0 <= dist <= _U16_MAX and 0 <= cz <= _CZ_MAX
+            and 0 <= seq <= 0xFF and 0 <= ts <= _U32_MAX):
+        return _LAYOUT.pack(*frame)
+    raise FrameError(_encode_error(frame))
 
 
 def decode_bsm(data: bytes) -> BsmFrame:
-    _check(
-        len(data) == FRAME_SIZE,
-        f"frame is {len(data)} bytes, expected {FRAME_SIZE}",
-    )
-    msg_id, vid, lat, lon, speed, tm_ms, dist, cz, seq, ts = _LAYOUT.unpack(data)
+    if len(data) != FRAME_SIZE:
+        raise FrameError(f"frame is {len(data)} bytes, expected {FRAME_SIZE}")
+    fields = _LAYOUT.unpack(data)
+    msg_id = fields[0]
+    if msg_id == MSG_BSM and fields[7] <= _CZ_MAX:
+        return _new(BsmFrame, fields)
     if msg_id == MSG_SPAT:
         # Phase markers carry only their id and timestamp; body is ignored.
-        return BsmFrame(msg_id=MSG_SPAT, timestamp_ms=ts)
-    _check(msg_id == MSG_BSM, f"unknown msg_id {msg_id:#x}")
-    _check(cz <= _CZ_MAX, f"zone id {cz} out of range 0..{_CZ_MAX}")
-    return BsmFrame(
-        msg_id=msg_id,
-        vehicle_id=vid,
-        latitude=lat,
-        longitude=lon,
-        speed_code=speed,
-        tm_ms=tm_ms,
-        dist_dm=dist,
-        cz=cz,
-        seq=seq,
-        timestamp_ms=ts,
-    )
+        return BsmFrame(msg_id=MSG_SPAT, timestamp_ms=fields[9])
+    if msg_id != MSG_BSM:
+        raise FrameError(f"unknown msg_id {msg_id:#x}")
+    raise FrameError(f"zone id {fields[7]} out of range 0..{_CZ_MAX}")

@@ -4,8 +4,9 @@ Each trace row becomes one frame published on topic ``bsm/<zone>``.  Frames
 are emitted sequentially in trace order (which is time order); the publisher
 is open loop and never waits for consumers.  ``rate`` paces publishes against
 the wall clock at that many frames per second; a rate of zero publishes as
-fast as the socket accepts, which keeps the frame *content* identical since
-timestamps come from the trace, not the clock.
+fast as the socket accepts, in coalesced writes, which keeps the frame
+*content* identical since timestamps come from the trace, not the clock.
+The trace file is read row by row as frames go out, never held whole.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from typing import Iterable, Iterator
 
 from corridorsim.coordinator import ScheduleEntry
 from corridorsim.core import CorridorConfig
-from corridorsim.metrics import read_schedule, read_trace
+from corridorsim.metrics import iter_trace, read_schedule
+# read_trace is unused here; benchmarks/layers.py patches this name
+from corridorsim.metrics import read_trace  # noqa: F401
 from corridorsim.v2x.broker import BrokerClient
 from corridorsim.v2x.bsm import BsmFrame, encode_bsm
 
@@ -67,17 +70,22 @@ def publish_frames(
     address: tuple[str, int],
     rate: float = 100.0,
 ) -> int:
-    """Publish frames to a broker at ``rate`` per second; returns the count."""
-    sent = 0
+    """Publish frames to a broker at ``rate`` per second; returns the count.
+
+    With ``rate`` 0 the frames go out in coalesced writes; paced, each frame
+    is on the wire before the wait for the next.
+    """
+    messages = ((f"bsm/{frame.cz}", encode_bsm(frame)) for frame in frames)
     with BrokerClient(address) as client:
+        if rate <= 0:
+            return client.publish_many(messages)
+        sent = 0
         start = time.monotonic()
-        for frame in frames:
-            if rate > 0:
-                target = start + sent / rate
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-            client.publish(f"bsm/{frame.cz}", encode_bsm(frame))
+        for topic, payload in messages:
+            delay = start + sent / rate - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            client.publish(topic, payload)
             sent += 1
     return sent
 
@@ -89,6 +97,7 @@ def replay_publish(
     rate: float = 100.0,
     schedule_path: str | None = None,
 ) -> int:
-    rows = read_trace(trace_path)
+    """Publish a trace file's frames, reading its rows as they are sent."""
     schedule = read_schedule(schedule_path) if schedule_path else None
-    return publish_frames(frames_from_trace(rows, config, schedule), address, rate)
+    frames = frames_from_trace(iter_trace(trace_path), config, schedule)
+    return publish_frames(frames, address, rate)

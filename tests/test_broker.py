@@ -5,13 +5,22 @@ import time
 
 import pytest
 
+from corridorsim import sim
+from corridorsim.core import load_config_file
 from corridorsim.v2x.broker import (
+    MAX_FRAME,
+    READ_SIZE,
     Broker,
     BrokerClient,
+    FrameReader,
     ProtocolError,
     encode_publish,
+    encode_subscribe,
     parse_payload,
 )
+from corridorsim.v2x.bsm import encode_bsm
+from corridorsim.v2x.headunit import BSM_TOPICS
+from corridorsim.v2x.replay import frames_from_trace, publish_frames
 
 
 @pytest.fixture()
@@ -214,3 +223,243 @@ def test_finished_connection_threads_are_pruned(broker):
     # its accept prunes the finished readers: the acceptor and the new reader stay
     assert _eventually(lambda: len(broker._threads) <= 2)
     last.close()
+
+
+# ---------------------------------------------------------------------------
+# framing
+
+
+def _framed(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload
+
+
+class _ScriptedSocket:
+    """Stands in for a socket: each recv returns the next scripted chunk (or
+    raises it, if it is an exception), then b"" as an orderly close."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.calls = 0
+
+    def recv(self, n: int) -> bytes:
+        self.calls += 1
+        if not self.chunks:
+            return b""
+        chunk = self.chunks.pop(0)
+        if isinstance(chunk, BaseException):
+            raise chunk
+        assert len(chunk) <= n
+        return chunk
+
+
+def _read_all(reader: FrameReader) -> list[bytes]:
+    out = []
+    while (frames := reader.read()) is not None:
+        out.extend(frames)
+    return out
+
+
+def test_reader_reassembles_frames_written_one_byte_at_a_time():
+    wire = [_framed(encode_publish("bsm/1", bytes([i]) * i)) for i in range(6)]
+    stream = b"".join(wire)
+    sock = _ScriptedSocket(stream[i:i + 1] for i in range(len(stream)))
+    assert _read_all(FrameReader(sock)) == wire
+    assert sock.calls == len(stream) + 1
+
+
+def test_reader_hands_out_many_frames_from_one_recv():
+    wire = [_framed(encode_publish("t", struct.pack(">I", i))) for i in range(1000)]
+    stream = b"".join(wire)
+    assert len(stream) <= READ_SIZE
+    sock = _ScriptedSocket([stream])
+    reader = FrameReader(sock)
+    assert reader.read() == wire
+    assert sock.calls == 1
+    assert reader.read() is None
+
+
+def test_reader_serves_frames_before_an_oversized_length_prefix():
+    good = _framed(encode_publish("t", b"ok"))
+    reader = FrameReader(_ScriptedSocket([good + struct.pack(">I", MAX_FRAME + 1)]))
+    assert reader.read() == [good]
+    with pytest.raises(ProtocolError, match="exceeds cap"):
+        reader.read()
+
+
+def test_reader_keeps_a_partial_frame_across_a_timeout():
+    wire = _framed(encode_publish("t", b"payload"))
+    sock = _ScriptedSocket([wire[:6], TimeoutError("timed out"), wire[6:]])
+    reader = FrameReader(sock)
+    with pytest.raises(TimeoutError):
+        reader.read()
+    assert reader.read() == [wire]
+
+
+def test_reader_returns_none_on_close_mid_frame():
+    wire = _framed(encode_publish("t", b"payload"))
+    assert FrameReader(_ScriptedSocket([wire + wire[:5]])).read() == [wire]
+    reader = FrameReader(_ScriptedSocket([wire[:5]]))
+    assert reader.read() is None
+
+
+@pytest.fixture()
+def fake_broker():
+    """A listening socket the test plays the broker on."""
+    server = socket.create_server(("127.0.0.1", 0))
+    yield server
+    server.close()
+
+
+def test_client_timeout_mid_frame_then_next_recv_completes_it(fake_broker):
+    client = BrokerClient(fake_broker.getsockname(), timeout=5.0)
+    conn, _ = fake_broker.accept()
+    wire = _framed(encode_publish("bsm/2", b"x" * 28))
+    conn.sendall(wire[:10])
+    client.settimeout(0.2)
+    with pytest.raises(TimeoutError):
+        client.recv()
+    conn.sendall(wire[10:])
+    client.settimeout(5.0)
+    assert client.recv() == ("bsm/2", b"x" * 28)
+    conn.close()
+    assert client.recv() is None
+    client.close()
+
+
+def test_client_recv_returns_none_on_close_mid_frame(fake_broker):
+    client = BrokerClient(fake_broker.getsockname(), timeout=5.0)
+    conn, _ = fake_broker.accept()
+    wire = _framed(encode_publish("t", b"whole"))
+    conn.sendall(wire + wire[:7])
+    conn.close()
+    assert client.recv() == ("t", b"whole")
+    assert client.recv() is None
+    client.close()
+
+
+def test_client_reads_many_deliveries_from_one_write(fake_broker):
+    client = BrokerClient(fake_broker.getsockname(), timeout=5.0)
+    conn, _ = fake_broker.accept()
+    sent = [struct.pack(">I", i) for i in range(2000)]
+    conn.sendall(b"".join(_framed(encode_publish("t", p)) for p in sent))
+    assert [client.recv() for _ in sent] == [("t", p) for p in sent]
+    conn.close()
+    client.close()
+
+
+def test_oversized_length_prefix_closes_only_that_connection(broker):
+    sub = BrokerClient(broker.address, timeout=5.0)
+    sub.subscribe("t")
+    sub.sync()
+    pub = BrokerClient(broker.address, timeout=5.0)
+    pub.publish("t", b"before")
+    assert sub.recv() == ("t", b"before")
+    bad = socket.create_connection(broker.address, timeout=5.0)
+    # the frame ahead of the bad prefix, in the same write, is still served
+    bad.sendall(_framed(encode_publish("t", b"last words"))
+                + struct.pack(">I", MAX_FRAME + 1))
+    assert sub.recv() == ("t", b"last words")
+    assert bad.recv(1) == b""
+    bad.close()
+    for i in range(3):
+        pub.publish("t", bytes([i]))
+    assert [sub.recv() for _ in range(3)] == [("t", bytes([i])) for i in range(3)]
+    pub.close()
+    sub.close()
+
+
+# ---------------------------------------------------------------------------
+# bytes on the wire
+
+
+@pytest.fixture(scope="module")
+def bench_frames():
+    cfg = load_config_file("configs/bench.yaml")
+    result = sim.run(cfg)
+    return list(frames_from_trace(result.rows, cfg, result.schedule))
+
+
+def _expected_wire(frames) -> bytes:
+    return b"".join(_framed(encode_publish(f"bsm/{f.cz}", encode_bsm(f))) for f in frames)
+
+
+def _drain(sock: socket.socket, n: int, out: list) -> None:
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        if not chunk:
+            break
+        buf += chunk
+    out.append(bytes(buf))
+
+
+def test_flood_reaches_a_raw_subscriber_byte_for_byte(broker, bench_frames):
+    raw = socket.create_connection(broker.address, timeout=10.0)
+    echo = _framed(encode_publish("echo", b""))
+    raw.sendall(b"".join(_framed(encode_subscribe(t)) for t in (*BSM_TOPICS, "echo"))
+                + echo)
+    got: list[bytes] = []
+    _drain(raw, len(echo), got)
+    assert got == [echo]
+    want = _expected_wire(bench_frames)
+    reader = threading.Thread(target=_drain, args=(raw, len(want), got))
+    reader.start()
+    assert publish_frames(bench_frames, broker.address, rate=0.0) == len(bench_frames)
+    reader.join(timeout=30.0)
+    assert not reader.is_alive()
+    assert got[1] == want
+    raw.settimeout(0.2)
+    with pytest.raises(TimeoutError):
+        raw.recv(1)
+    raw.close()
+    assert broker.published == broker.delivered == len(bench_frames) + 1
+
+
+def test_subscribe_publishes_and_sync_in_one_write(broker, bench_frames):
+    raw = socket.create_connection(broker.address, timeout=10.0)
+    sync = "__sync/one-write"
+    echo = _framed(encode_publish(sync, b""))
+    want = _expected_wire(bench_frames) + echo
+    got: list[bytes] = []
+    reader = threading.Thread(target=_drain, args=(raw, len(want), got))
+    reader.start()
+    raw.sendall(b"".join(_framed(encode_subscribe(t)) for t in BSM_TOPICS)
+                + _expected_wire(bench_frames)
+                + _framed(encode_subscribe(sync)) + echo)
+    reader.join(timeout=30.0)
+    assert not reader.is_alive()
+    assert got == [want]
+    raw.close()
+    assert broker.published == broker.delivered == len(bench_frames) + 1
+    assert sync not in _topics(broker)
+
+
+def test_paced_publish_puts_each_frame_out_before_the_next(broker, bench_frames,
+                                                           monkeypatch):
+    sub = BrokerClient(broker.address, timeout=5.0)
+    for topic in BSM_TOPICS:
+        sub.subscribe(topic)
+    sub.sync()
+    published, received = [], []
+    publish = BrokerClient.publish
+
+    def stamped(self, topic, payload):
+        published.append(time.monotonic())
+        publish(self, topic, payload)
+
+    monkeypatch.setattr(BrokerClient, "publish", stamped)
+
+    def listen():
+        for _ in range(5):
+            sub.recv()
+            received.append(time.monotonic())
+
+    listener = threading.Thread(target=listen)
+    listener.start()
+    assert publish_frames(bench_frames[:5], broker.address, rate=50.0) == 5
+    listener.join(timeout=5.0)
+    assert not listener.is_alive()
+    assert len(published) == len(received) == 5
+    for k in range(4):
+        assert received[k] < published[k + 1]
+    sub.close()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -82,19 +84,76 @@ def test_phase_marker_keeps_only_id_and_timestamp():
     assert back.vehicle_id == 0 and back.speed_code == 0 and back.cz == 0
 
 
+# every range check, with the exact message it raises; where two fields are
+# out of range the first in field order names the error
+ENCODE_ERRORS = [
+    (dict(msg_id=0x20), "unknown msg_id 0x20"),
+    (dict(vehicle_id=-1), "vehicle_id out of u32 range"),
+    (dict(vehicle_id=2**32), "vehicle_id out of u32 range"),
+    (dict(latitude=2**31), "latitude out of i32 range"),
+    (dict(longitude=-(2**31) - 1), "longitude out of i32 range"),
+    (dict(speed_code=-5), "speed out of u16 range"),
+    (dict(speed_code=70000), "speed out of u16 range"),
+    (dict(tm_ms=2**31), "merging time out of i32 range"),
+    (dict(dist_dm=-1), "distance out of u16 range"),
+    (dict(cz=7), "zone id 7 out of range 0..3"),
+    (dict(cz=-1), "zone id -1 out of range 0..3"),
+    (dict(seq=256), "seq out of u8 range"),
+    (dict(timestamp_ms=2**32), "timestamp out of u32 range"),
+    (dict(msg_id=0x20, cz=7), "unknown msg_id 0x20"),
+    (dict(speed_code=-1, seq=256), "speed out of u16 range"),
+]
+
+
 def test_encode_range_checks():
-    for bad in [
-        BsmFrame(vehicle_id=-1),
-        BsmFrame(vehicle_id=2**32),
-        BsmFrame(speed_code=-5),
-        BsmFrame(speed_code=70000),
-        BsmFrame(dist_dm=-1),
-        BsmFrame(seq=256),
-        BsmFrame(timestamp_ms=2**32),
-        BsmFrame(latitude=2**31),
-    ]:
-        with pytest.raises(FrameError):
-            encode_bsm(bad)
+    for fields, message in ENCODE_ERRORS:
+        with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
+            encode_bsm(BsmFrame(**fields))
+
+
+def _wire(**fields) -> bytes:
+    return encode_bsm(BsmFrame(**fields))
+
+
+@pytest.mark.parametrize("data, message", [
+    (bytes(28), "unknown msg_id 0x0"),
+    (_wire()[:27], "frame is 27 bytes, expected 28"),
+    (_wire() + b"\x00", "frame is 29 bytes, expected 28"),
+    (b"\x20" + _wire()[1:], "unknown msg_id 0x20"),
+    (_wire()[:21] + b"\x00\x07" + _wire()[23:], "zone id 7 out of range 0..3"),
+])
+def test_decode_errors(data, message):
+    with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
+        decode_bsm(data)
+
+
+def test_field_order_and_defaults():
+    assert BsmFrame._fields == ("msg_id", "vehicle_id", "latitude", "longitude",
+                                "speed_code", "tm_ms", "dist_dm", "cz", "seq",
+                                "timestamp_ms")
+    assert BsmFrame() == BsmFrame(MSG_BSM, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+    frame = BsmFrame(*range(10))
+    assert [getattr(frame, name) for name in BsmFrame._fields] == list(range(10))
+    assert BsmFrame(cz=2, seq=5) == BsmFrame(MSG_BSM, 0, 0, 0, 0, 0, 0, 2, 5, 0)
+
+
+def test_golden_wire_bytes():
+    # hex recorded from the frozen-dataclass codec; from_state rounds half to even
+    frames = [
+        BsmFrame.from_state(vehicle_id=42, speed=13.407, tm=11.2004, dist=52.34,
+                            cz=1, seq=300, timestamp=0.1),
+        BsmFrame.from_state(vehicle_id=4_000_000_000, speed=0.03, tm=-2.5e-3,
+                            dist=6553.46, cz=3, seq=255, timestamp=4294967.2945),
+        BsmFrame(msg_id=MSG_SPAT, vehicle_id=99, speed_code=500, timestamp_ms=123456),
+    ]
+    assert [encode_bsm(f).hex() for f in frames] == [
+        "14" "0000002a" "00000000" "00000000" "029e" "00002bc0" "020b" "0001" "2c" "00000064",
+        "14" "ee6b2800" "00000000" "00000000" "0002" "fffffffe" "ffff" "0003" "ff" "fffffffe",
+        "13" "00000063" "00000000" "00000000" "01f4" "00000000" "0000" "0000" "00" "0001e240",
+    ]
+    assert [decode_bsm(encode_bsm(f)) for f in frames[:2]] == frames[:2]
+    assert decode_bsm(encode_bsm(frames[2])) == BsmFrame(msg_id=MSG_SPAT,
+                                                         timestamp_ms=123456)
 
 
 def test_from_state_quantizes():
