@@ -26,16 +26,20 @@ from corridorsim.core import ConfigError, CorridorConfig, load_config_file
 from corridorsim import sim
 from corridorsim.metrics import (
     Metrics,
-    compute_metrics,
+    MetricsAccumulator,
+    OccupancyRows,
+    TraceWriter,
     occupancy_from_trace,
     read_schedule,
+    read_steps,
     read_trace,
     render_report,
     rear_end_check,
     write_events,
     write_schedule,
-    write_trace,
 )
+# unused since run and verify stream; benchmarks/layers.py patches these names
+from corridorsim.metrics import compute_metrics, write_trace  # noqa: F401
 
 log = logging.getLogger("corridorsim")
 
@@ -68,12 +72,15 @@ def _address(text: str) -> tuple[str, int]:
 
 def _run_one(cfg: CorridorConfig, mode: str, seed: int, out: str) -> Metrics:
     run_cfg = dataclasses.replace(cfg, mode=mode, seed=seed)
-    result = sim.run(run_cfg)
     tag = f"{mode}_{seed}"
-    write_trace(os.path.join(out, f"trace_{tag}.csv"), result.rows)
+    metrics = MetricsAccumulator(run_cfg, mode=mode, seed=seed)
+    with open(os.path.join(out, f"trace_{tag}.csv"), "w", newline="") as fh:
+        sink = TraceWriter(fh, metrics.add)
+        result = sim.run(run_cfg, sink)
+        sink.flush()
     write_schedule(os.path.join(out, f"schedule_{tag}.csv"), result.schedule)
     write_events(os.path.join(out, f"events_{tag}.json"), result.events)
-    return compute_metrics(result.rows, run_cfg, mode=mode, seed=seed)
+    return metrics.result()
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -99,13 +106,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load(args.config)
+    kept = OccupancyRows(cfg)
     try:
-        rows = read_trace(args.trace)
+        # the one read of the file, a time step at a time
+        rear = rear_end_check(kept.through(read_steps(args.trace)), cfg)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rear = rear_end_check(rows, cfg)
-    lateral = occupancy_from_trace(rows, cfg)
+    lateral = occupancy_from_trace(kept.rows(), cfg)
     print(f"rear-end violations:  {len(rear)}")
     for t, follower, leader, gap, need in rear[:20]:
         print(f"  t={t:.1f}s vehicle {follower} behind {leader}: "

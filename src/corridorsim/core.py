@@ -274,6 +274,10 @@ def _require(mapping: dict, key: str, path: str):
 
 
 def _load_route(name: str, raw: dict, path: str) -> RouteSpec:
+    if not name or any(c in name for c in ',"\r\n'):
+        # a trace row holds the name as one unquoted CSV field
+        raise ConfigError("route name must be non-empty and hold no comma, "
+                          "double quote, CR or LF", path)
     if not isinstance(raw, dict):
         raise ConfigError("route must be a mapping", path)
     flow = parse_quantity(_require(raw, "flow", path), "flow", f"{path}.flow")

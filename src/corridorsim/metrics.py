@@ -9,7 +9,12 @@ Row format: ``t,id,route,s,v,u,zone`` with t printed at millisecond
 resolution and s/v/u at nine decimals. Each row carries the state at time t
 and the control executed over [t, t+dt); the extra row emitted when a
 vehicle leaves its route is a terminal state snapshot and contributes no
-integration interval.
+integration interval. Rows come in non-decreasing t: a vehicle that leaves
+its route in the step to t writes its terminal row before the rows of t.
+
+Every reader and check takes one pass over the rows and holds one time step
+plus a little state per vehicle, so ``run`` and ``verify`` never hold a
+whole trace.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
-from typing import Iterator
+from itertools import groupby
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator
 
 from corridorsim.coordinator import MzOccupancy, OccupancyInterval, ScheduleEntry, occupancy_check
 from corridorsim.core import CorridorConfig
@@ -28,20 +34,26 @@ from corridorsim.core import CorridorConfig
 __all__ = [
     "TRACE_HEADER",
     "write_trace",
+    "TraceWriter",
+    "read_steps",
     "iter_trace",
     "read_trace",
+    "by_step",
     "write_schedule",
     "read_schedule",
     "write_events",
     "compute_metrics",
+    "MetricsAccumulator",
     "Metrics",
     "summarize",
     "rear_end_check",
     "occupancy_from_trace",
+    "OccupancyRows",
     "render_report",
 ]
 
 TRACE_HEADER = "t,id,route,s,v,u,zone"
+_HEADER_BYTES = TRACE_HEADER.encode()
 SCHEDULE_HEADER = "vehicle,zone,t0,tm,tf,v_at_tm,relation,lane,truncated"
 STOP_SPEED = 0.1
 
@@ -52,10 +64,14 @@ _SCHEDULE_FORMAT = "%d,%d,%.9f,%.9f,%.9f,%.9f,%s,%s,%d\n"
 _schedule_row = attrgetter(*(f.name for f in fields(ScheduleEntry)))
 
 
+def _rows_text(rows: list[tuple]) -> str:
+    return "".join([_ROW_FORMAT % row for row in rows])
+
+
 def _trace_text(rows: list[tuple]):
     yield TRACE_HEADER + "\n"
     for i in range(0, len(rows), _CHUNK_ROWS):
-        yield "".join([_ROW_FORMAT % row for row in rows[i:i + _CHUNK_ROWS]])
+        yield _rows_text(rows[i:i + _CHUNK_ROWS])
 
 
 def write_trace(path: str, rows: list[tuple]) -> None:
@@ -67,25 +83,118 @@ def trace_bytes(rows: list[tuple]) -> bytes:
     return "".join(_trace_text(rows)).encode()
 
 
+class TraceWriter:
+    """Row sink for ``sim.run`` that streams the trace: every ``_CHUNK_ROWS``
+    rows it writes their text to ``fh`` and hands them to ``consume``, then
+    lets them go. Call ``flush`` once the run is over. The bytes equal
+    ``write_trace`` of the same rows."""
+
+    def __init__(self, fh, consume) -> None:
+        fh.write(TRACE_HEADER + "\n")
+        self._fh = fh
+        self._consume = consume
+        self._rows: list[tuple] = []
+
+    def append(self, row: tuple) -> None:
+        rows = self._rows
+        rows.append(row)
+        if len(rows) == _CHUNK_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        rows = self._rows
+        if rows:
+            self._fh.write(_rows_text(rows))
+            self._consume(rows)
+            self._rows = []
+
+
+def _row_error(path: str, line_no: int, line: bytes, t_prev: float) -> str:
+    where = f"{path}:{line_no}"
+    try:
+        parts = line.decode().rstrip("\r\n").split(",")
+    except UnicodeDecodeError:
+        return f"{where}: not UTF-8 text"
+    if len(parts) != 7:
+        return f"{where}: expected 7 fields, got {len(parts)}"
+    for name, text, kind in zip(TRACE_HEADER.split(","), parts,
+                                (float, int, str, float, float, float, int)):
+        try:
+            kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            return f"{where}: field {name} is not {what}: {text!r}"
+    return f"{where}: time goes back from {t_prev:.3f} to {parts[0]}"
+
+
+def read_steps(path: str) -> Iterator[tuple[float, list[tuple]]]:
+    """A trace file one time step at a time: ``(t, rows)`` with the step's
+    rows in file order, typed as ``read_trace`` returns them.
+
+    Fields are split at every comma; the writer never quotes one. Rows must
+    come in non-decreasing ``t``. A bad header, a row without exactly seven
+    fields, a non-numeric field or a step back in time raises ``ValueError``
+    naming the file and the 1-based line."""
+    routes: dict[bytes, str] = {}   # one string per route name, not one per row
+    ints: dict[bytes, int] = {}     # id and zone texts: a lookup costs less than int()
+    get_int = ints.get
+    with open(path, "rb") as fh:    # float and int parse bytes as they are
+        if fh.readline().rstrip(b"\r\n") != _HEADER_BYTES:
+            raise ValueError(f"{path}: not a trace file (bad header)")
+        t_text = route_text = None
+        t = -math.inf
+        done = 0    # rows in the steps yielded so far; each line is one row
+        step: list[tuple] = []
+        append = step.append
+        for line in fh:
+            try:
+                ts, vid, rt, s, v, u, zone = line.split(b",")
+                if ts != t_text:
+                    tf = float(ts)
+                    if tf != t:
+                        if tf < t:
+                            raise ValueError
+                        if step:
+                            yield t, step
+                            done += len(step)
+                            step = []
+                            append = step.append
+                        t = tf
+                    t_text = ts
+                if rt != route_text:
+                    route_text = rt
+                    route = routes.get(rt)
+                    if route is None:
+                        route = routes[rt] = rt.decode()
+                i = get_int(vid)
+                if i is None:
+                    i = ints[vid] = int(vid)
+                z = get_int(zone)
+                if z is None:
+                    z = ints[zone] = int(zone)
+                append((t, i, route, float(s), float(v), float(u), z))
+            except ValueError:
+                line_no = 2 + done + len(step)
+                raise ValueError(_row_error(path, line_no, line, t)) from None
+        if step:
+            yield t, step
+
+
 def iter_trace(path: str) -> Iterator[tuple]:
     """Trace rows one at a time, typed as ``read_trace`` returns them."""
-    routes: dict[str, str] = {}   # one string per route name, not one per row
-    times: dict[str, float] = {}  # one float per time step, not one per row
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or ",".join(header) != TRACE_HEADER:
-            raise ValueError(f"{path}: not a trace file (bad header)")
-        for t, vid, route, s, v, u, zone in reader:
-            tf = times.get(t)
-            if tf is None:
-                tf = times[t] = float(t)
-            yield (tf, int(vid), routes.setdefault(route, route), float(s),
-                   float(v), float(u), int(zone))
+    for _, rows in read_steps(path):
+        yield from rows
 
 
 def read_trace(path: str) -> list[tuple]:
     return list(iter_trace(path))
+
+
+def by_step(rows: Iterable[tuple]) -> Iterator[tuple[float, list[tuple]]]:
+    """In-memory rows in trace order, one time step at a time as
+    ``read_steps`` yields them."""
+    for t, group in groupby(rows, _first):
+        yield t, list(group)
 
 
 def write_schedule(path: str, schedule: list[ScheduleEntry]) -> None:
@@ -131,66 +240,81 @@ class Metrics:
     censored: int = 0
 
 
-def _per_vehicle(rows: list[tuple]) -> dict[int, list[tuple]]:
-    by_vehicle: dict[int, list[tuple]] = defaultdict(list)
-    for row in rows:
-        by_vehicle[row[1]].append(row)
-    return by_vehicle
+class MetricsAccumulator:
+    """``compute_metrics`` in one pass: ``add`` takes rows in trace order, in
+    as many calls as it likes, and keeps a few numbers per vehicle, not its
+    rows; ``result`` gives the ``Metrics``."""
 
+    def __init__(self, config: CorridorConfig, mode: str = "", seed: int = -1) -> None:
+        self.config = config
+        self.mode = mode or config.mode
+        self.seed = seed if seed >= 0 else config.seed
+        # vehicle id -> [first row, last row, effort, work, zone -> steps
+        # inside, stops, last row below STOP_SPEED]; effort, work and dwell
+        # take a row once a later one shows it was not the vehicle's last
+        self._vehicles: dict[int, list] = {}
 
-def compute_metrics(rows: list[tuple], config: CorridorConfig,
-                    mode: str = "", seed: int = -1) -> Metrics:
-    dt = config.dt
-    m = Metrics(mode=mode or config.mode, seed=seed if seed >= 0 else config.seed)
-    lengths = {r.name: r.length for r in config.routes}
-    zone_samples: dict[int, list[float]] = defaultdict(list)
-    corridor_samples: list[float] = []
-    efforts: list[float] = []
-    works: list[float] = []
-    stops: list[int] = []
-    for vid, vrows in _per_vehicle(rows).items():
-        route = vrows[0][2]
-        m.spawned_per_route[route] = m.spawned_per_route.get(route, 0) + 1
-        completed = vrows[-1][3] >= lengths[route] - 1e-6
-        if not completed:
-            m.censored += 1
-            continue
-        m.completed += 1
-        m.completed_per_route[route] = m.completed_per_route.get(route, 0) + 1
-        travel = vrows[-1][0] - vrows[0][0]
-        if route == config.main_route:
-            corridor_samples.append(travel)
-        effort = 0.0
-        work = 0.0
-        zone_dwell: dict[int, int] = defaultdict(int)
-        stop_count = 0
-        below = vrows[0][4] < STOP_SPEED
-        for row in vrows[:-1]:
-            _, _, _, _, v, u, zone = row
-            effort += u * u * dt
-            work += max(0.0, u * v) * dt
+    def add(self, rows: Iterable[tuple]) -> None:
+        dt = self.config.dt
+        vehicles = self._vehicles
+        for row in rows:
+            st = vehicles.get(row[1])
+            if st is None:
+                below = row[4] < STOP_SPEED
+                vehicles[row[1]] = [row, row, 0.0, 0.0, {}, int(below), below]
+                continue
+            _, _, _, _, v, u, zone = st[1]
+            st[2] += u * u * dt
+            st[3] += max(0.0, u * v) * dt
             if zone:
-                zone_dwell[zone] += 1
-        for row in vrows:
-            now_below = row[4] < STOP_SPEED
-            if now_below and not below:
-                stop_count += 1
-            below = now_below
-        if vrows[0][4] < STOP_SPEED:
-            stop_count += 1
-        efforts.append(effort)
-        works.append(work)
-        stops.append(stop_count)
-        for zone, n in zone_dwell.items():
-            zone_samples[zone].append(n * dt)
-    if corridor_samples:
-        m.corridor_time = sum(corridor_samples) / len(corridor_samples)
-    m.zone_time = {z: sum(v) / len(v) for z, v in zone_samples.items()}
-    if efforts:
-        m.mean_effort = sum(efforts) / len(efforts)
-        m.mean_work = sum(works) / len(works)
-        m.mean_stops = sum(stops) / len(stops)
-    return m
+                dwell = st[4]
+                dwell[zone] = dwell.get(zone, 0) + 1
+            below = row[4] < STOP_SPEED
+            if below and not st[6]:
+                st[5] += 1
+            st[6] = below
+            st[1] = row
+
+    def result(self) -> Metrics:
+        config = self.config
+        dt = config.dt
+        m = Metrics(mode=self.mode, seed=self.seed)
+        lengths = {r.name: r.length for r in config.routes}
+        zone_samples: dict[int, list[float]] = defaultdict(list)
+        corridor_samples: list[float] = []
+        efforts: list[float] = []
+        works: list[float] = []
+        stops: list[int] = []
+        for first, last, effort, work, dwell, stop_count, _ in self._vehicles.values():
+            route = first[2]
+            m.spawned_per_route[route] = m.spawned_per_route.get(route, 0) + 1
+            if not last[3] >= lengths[route] - 1e-6:   # a NaN position is not completed
+                m.censored += 1
+                continue
+            m.completed += 1
+            m.completed_per_route[route] = m.completed_per_route.get(route, 0) + 1
+            if route == config.main_route:
+                corridor_samples.append(last[0] - first[0])
+            efforts.append(effort)
+            works.append(work)
+            stops.append(stop_count)
+            for zone, n in dwell.items():
+                zone_samples[zone].append(n * dt)
+        if corridor_samples:
+            m.corridor_time = sum(corridor_samples) / len(corridor_samples)
+        m.zone_time = {z: sum(v) / len(v) for z, v in zone_samples.items()}
+        if efforts:
+            m.mean_effort = sum(efforts) / len(efforts)
+            m.mean_work = sum(works) / len(works)
+            m.mean_stops = sum(stops) / len(stops)
+        return m
+
+
+def compute_metrics(rows: Iterable[tuple], config: CorridorConfig,
+                    mode: str = "", seed: int = -1) -> Metrics:
+    acc = MetricsAccumulator(config, mode, seed)
+    acc.add(rows)
+    return acc.result()
 
 
 def summarize(runs: list[Metrics]) -> dict:
@@ -221,38 +345,43 @@ def summarize(runs: list[Metrics]) -> dict:
 # safety checks
 
 
-def rear_end_check(rows: list[tuple], config: CorridorConfig,
+def rear_end_check(steps: Iterable[tuple[float, list[tuple]]], config: CorridorConfig,
                    tol: float = 1e-6) -> list[tuple]:
     """Headway violations: same-route consecutive pairs everywhere, plus
     cross-route pairs inside the merging zone of a shared-lane zone. The
-    required gap is headway * follower speed. Returns
-    (t, follower, leader, gap, required) tuples."""
+    required gap is headway * follower speed. Takes the trace a time step
+    at a time (``read_steps``, or ``by_step`` of in-memory rows) and holds one
+    step. Returns (t, follower, leader, gap, required) tuples."""
     h = config.headway
     shared = [zone for zone in config.zones if zone.shared_lane]
-    by_time: dict[float, list[tuple]] = defaultdict(list)
-    for row in rows:
-        by_time[row[0]].append(row)
     violations = []
-    for t in sorted(by_time):
-        group = by_time[t]
-        per_route: dict[str, list[tuple]] = defaultdict(list)
-        for row in group:
-            per_route[row[2]].append(row)
+    for t, rows in steps:
+        per_route: dict[str, list[tuple]] = {}
+        for route, run in groupby(rows, _row_route):
+            group = per_route.get(route)
+            if group is None:
+                per_route[route] = list(run)
+            else:
+                group += run
         for route_rows in per_route.values():
-            route_rows.sort(key=lambda r: -r[3])
-            for lead, foll in zip(route_rows, route_rows[1:]):
+            if len(route_rows) < 2:
+                continue
+            route_rows.sort(key=_row_s, reverse=True)   # stable: ties keep file order
+            lead = route_rows[0]
+            for foll in route_rows[1:]:
                 gap = lead[3] - foll[3]
                 required = h * foll[4]
                 if gap < required - tol:
                     violations.append((t, foll[1], lead[1], gap, required))
+                lead = foll
         for zone in shared:
             merged = []
             for ap in zone.approaches:
-                for row in per_route.get(ap.route, []):
+                for row in per_route.get(ap.route, ()):
                     x = row[3] - ap.mz_start
                     if 0.0 <= x < zone.mz_length:
                         merged.append((x, row))
-            merged.sort(key=lambda e: -e[0])
+            merged.sort(key=_first, reverse=True)
             for (x_lead, lead), (x_foll, foll) in zip(merged, merged[1:]):
                 if lead[2] == foll[2]:
                     continue   # same route already covered above
@@ -261,6 +390,68 @@ def rear_end_check(rows: list[tuple], config: CorridorConfig,
                 if gap < required - tol:
                     violations.append((t, foll[1], lead[1], gap, required))
     return violations
+
+
+class OccupancyRows:
+    """The rows ``occupancy_from_trace`` reads, kept from one pass over a
+    trace in time order: each vehicle's first row, the first row at or past
+    each merging-zone line of its route in an exclusion zone together with
+    the row before it, and its last row. A few rows per vehicle, not the
+    trace; the check on them equals the check on every row."""
+
+    def __init__(self, config: CorridorConfig) -> None:
+        lines: dict[str, list[float]] = defaultdict(list)
+        for zone in config.zones:
+            if not zone.shared_lane:
+                for ap in zone.approaches:
+                    lines[ap.route] += (ap.mz_start, ap.mz_start + zone.mz_length)
+        # route -> its lines in ascending order, closed by a NaN no s reaches
+        self._lines = {route: (*sorted(ls), math.nan) for route, ls in lines.items()}
+        # vehicle id -> [kept rows, last row, its route's lines, next line's index]
+        self._vehicles: dict[int, list] = {}
+
+    def add(self, rows: Iterable[tuple]) -> None:
+        vehicles = self._vehicles
+        for row in rows:
+            st = vehicles.get(row[1])
+            if st is None:
+                lines = self._lines.get(row[2], _NO_LINES)
+                i = 0
+                while row[3] >= lines[i]:
+                    i += 1
+                vehicles[row[1]] = [[row], row, lines, i]
+            elif row[3] >= st[2][st[3]]:
+                kept, lines, i = st[0], st[2], st[3] + 1
+                if kept[-1] is not st[1]:
+                    kept.append(st[1])
+                kept.append(row)
+                while row[3] >= lines[i]:
+                    i += 1
+                st[1], st[3] = row, i
+            else:
+                st[1] = row
+
+    def through(self, steps: Iterable[tuple[float, list[tuple]]]):
+        """Pass ``steps`` on unchanged, keeping the rows of each."""
+        for step in steps:
+            self.add(step[1])
+            yield step
+
+    def per_vehicle(self) -> dict[int, list[tuple]]:
+        """Vehicle id -> its kept rows, in order of first appearance."""
+        out = {}
+        for vid, (kept, last, _, _) in self._vehicles.items():
+            out[vid] = kept + [last] if kept[-1] is not last else kept
+        return out
+
+    def rows(self) -> list[tuple]:
+        return [row for vrows in self.per_vehicle().values() for row in vrows]
+
+
+_NO_LINES = (math.nan,)
+_first = itemgetter(0)      # a row's t, or a merged entry's x
+_row_route = itemgetter(2)
+_row_s = itemgetter(3)
 
 
 def _crossing_time(vrows: list[tuple], boundary: float) -> float | None:
@@ -278,18 +469,21 @@ def _crossing_time(vrows: list[tuple], boundary: float) -> float | None:
     return None
 
 
-def occupancy_from_trace(rows: list[tuple], config: CorridorConfig,
+def occupancy_from_trace(rows: Iterable[tuple], config: CorridorConfig,
                          tol: float = 1e-2) -> list:
     """Lateral-exclusion check on actual motion: merging-zone entry and exit
     times are interpolated from the trace, vehicles still inside at the end
     of the data are treated as occupying until the last timestamp, and
     overlapping cross-lane stays are reported via the same pairwise check
     the coordinator uses. The tolerance absorbs interpolation error so
-    touching intervals stay legal."""
-    if not rows:
+    touching intervals stay legal. ``rows`` are in time order: every row of
+    a trace, or those an ``OccupancyRows`` kept from it."""
+    kept = OccupancyRows(config)
+    kept.add(rows)
+    by_vehicle = kept.per_vehicle()
+    if not by_vehicle:
         return []
-    t_end = max(row[0] for row in rows) + config.dt
-    by_vehicle = _per_vehicle(rows)
+    t_end = max(vrows[-1][0] for vrows in by_vehicle.values()) + config.dt
     conflicts = []
     for zone in config.zones:
         if zone.shared_lane:

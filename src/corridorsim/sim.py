@@ -242,7 +242,7 @@ def optimal_step(vehicle: VehicleState, coeffs: TrajectoryCoefficients,
 
 @dataclass
 class SimResult:
-    rows: list[tuple]                 # (t, id, route, s, v, u, zone)
+    rows: list[tuple]                 # (t, id, route, s, v, u, zone), or the sink given to run
     schedule: list[ScheduleEntry]     # sorted by (vehicle_id, zone)
     events: Counter
     spawned: int
@@ -330,7 +330,7 @@ class _Passage:
 
 
 class Simulation:
-    def __init__(self, config: CorridorConfig):
+    def __init__(self, config: CorridorConfig, rows=None):
         self.cfg = config
         self.bounds = config.bounds
         self.dt = config.dt
@@ -344,7 +344,7 @@ class Simulation:
         self.coordinators = {z.index: ZoneCoordinator(z, config.bounds, config.headway)
                              for z in config.zones}
         self.passages: dict[int, _Passage] = {}
-        self.rows: list[tuple] = []
+        self.rows = [] if rows is None else rows
         self.events: Counter = Counter()
         self._next_id = 1
         self._spawned = 0
@@ -642,6 +642,7 @@ class Simulation:
                 rt.order = [st for st in rt.order if st.s < end]
 
 
-def run(config: CorridorConfig) -> SimResult:
-    """Run one seeded simulation to the horizon."""
-    return Simulation(config).run()
+def run(config: CorridorConfig, rows=None) -> SimResult:
+    """Run one seeded simulation to the horizon. Trace rows go to ``rows``,
+    anything with an ``append`` (a new list when not given), in trace order."""
+    return Simulation(config, rows).run()

@@ -7,15 +7,27 @@ followed by a constrained least-squares or SLSQP solve. Discretization is
 exact for piecewise-constant input, so every oracle solution is feasible
 for the continuous problem and its cost is an upper bound on the true
 optimum. As N grows the bound tightens from above.
+
+The trace checks at the end are the list-based reference versions of
+``rear_end_check``, ``occupancy_from_trace`` and ``compute_metrics``: they
+hold every row, group them by time step and by vehicle, and walk each group.
+The program computes the same results in one pass; these stay as they were
+so that every result, its order and its floats can be compared with ``==``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DiscreteSolution", "solve_discrete", "solve_discrete_bounded"]
+from corridorsim.coordinator import MzOccupancy, OccupancyInterval, occupancy_check
+from corridorsim.core import CorridorConfig
+from corridorsim.metrics import STOP_SPEED, Metrics
+
+__all__ = ["DiscreteSolution", "solve_discrete", "solve_discrete_bounded",
+           "compute_metrics", "rear_end_check", "occupancy_from_trace"]
 
 
 @dataclass(frozen=True)
@@ -109,3 +121,161 @@ def solve_discrete_bounded(p0: float, v0: float, p_end: float, horizon: float,
         raise RuntimeError(f"oracle SLSQP failed: {res.message}")
     v, p = _rollout(p0, v0, res.x, h)
     return DiscreteSolution(h=h, u=res.x, v=v, p=p)
+
+
+# ---------------------------------------------------------------------------
+# trace checks, list-based
+
+
+def _per_vehicle(rows: list[tuple]) -> dict[int, list[tuple]]:
+    by_vehicle: dict[int, list[tuple]] = defaultdict(list)
+    for row in rows:
+        by_vehicle[row[1]].append(row)
+    return by_vehicle
+
+
+def compute_metrics(rows: list[tuple], config: CorridorConfig,
+                    mode: str = "", seed: int = -1) -> Metrics:
+    dt = config.dt
+    m = Metrics(mode=mode or config.mode, seed=seed if seed >= 0 else config.seed)
+    lengths = {r.name: r.length for r in config.routes}
+    zone_samples: dict[int, list[float]] = defaultdict(list)
+    corridor_samples: list[float] = []
+    efforts: list[float] = []
+    works: list[float] = []
+    stops: list[int] = []
+    for vid, vrows in _per_vehicle(rows).items():
+        route = vrows[0][2]
+        m.spawned_per_route[route] = m.spawned_per_route.get(route, 0) + 1
+        completed = vrows[-1][3] >= lengths[route] - 1e-6
+        if not completed:
+            m.censored += 1
+            continue
+        m.completed += 1
+        m.completed_per_route[route] = m.completed_per_route.get(route, 0) + 1
+        travel = vrows[-1][0] - vrows[0][0]
+        if route == config.main_route:
+            corridor_samples.append(travel)
+        effort = 0.0
+        work = 0.0
+        zone_dwell: dict[int, int] = defaultdict(int)
+        stop_count = 0
+        below = vrows[0][4] < STOP_SPEED
+        for row in vrows[:-1]:
+            _, _, _, _, v, u, zone = row
+            effort += u * u * dt
+            work += max(0.0, u * v) * dt
+            if zone:
+                zone_dwell[zone] += 1
+        for row in vrows:
+            now_below = row[4] < STOP_SPEED
+            if now_below and not below:
+                stop_count += 1
+            below = now_below
+        if vrows[0][4] < STOP_SPEED:
+            stop_count += 1
+        efforts.append(effort)
+        works.append(work)
+        stops.append(stop_count)
+        for zone, n in zone_dwell.items():
+            zone_samples[zone].append(n * dt)
+    if corridor_samples:
+        m.corridor_time = sum(corridor_samples) / len(corridor_samples)
+    m.zone_time = {z: sum(v) / len(v) for z, v in zone_samples.items()}
+    if efforts:
+        m.mean_effort = sum(efforts) / len(efforts)
+        m.mean_work = sum(works) / len(works)
+        m.mean_stops = sum(stops) / len(stops)
+    return m
+
+
+def rear_end_check(rows: list[tuple], config: CorridorConfig,
+                   tol: float = 1e-6) -> list[tuple]:
+    """Headway violations: same-route consecutive pairs everywhere, plus
+    cross-route pairs inside the merging zone of a shared-lane zone. The
+    required gap is headway * follower speed. Returns
+    (t, follower, leader, gap, required) tuples."""
+    h = config.headway
+    shared = [zone for zone in config.zones if zone.shared_lane]
+    by_time: dict[float, list[tuple]] = defaultdict(list)
+    for row in rows:
+        by_time[row[0]].append(row)
+    violations = []
+    for t in sorted(by_time):
+        group = by_time[t]
+        per_route: dict[str, list[tuple]] = defaultdict(list)
+        for row in group:
+            per_route[row[2]].append(row)
+        for route_rows in per_route.values():
+            route_rows.sort(key=lambda r: -r[3])
+            for lead, foll in zip(route_rows, route_rows[1:]):
+                gap = lead[3] - foll[3]
+                required = h * foll[4]
+                if gap < required - tol:
+                    violations.append((t, foll[1], lead[1], gap, required))
+        for zone in shared:
+            merged = []
+            for ap in zone.approaches:
+                for row in per_route.get(ap.route, []):
+                    x = row[3] - ap.mz_start
+                    if 0.0 <= x < zone.mz_length:
+                        merged.append((x, row))
+            merged.sort(key=lambda e: -e[0])
+            for (x_lead, lead), (x_foll, foll) in zip(merged, merged[1:]):
+                if lead[2] == foll[2]:
+                    continue   # same route already covered above
+                gap = x_lead - x_foll
+                required = h * foll[4]
+                if gap < required - tol:
+                    violations.append((t, foll[1], lead[1], gap, required))
+    return violations
+
+
+def _crossing_time(vrows: list[tuple], boundary: float) -> float | None:
+    """Linear-interpolated time at which the vehicle position crosses the
+    boundary; None if it never does within its rows."""
+    prev = vrows[0]
+    if prev[3] >= boundary:
+        return prev[0]
+    for row in vrows[1:]:
+        if row[3] >= boundary:
+            span = row[3] - prev[3]
+            frac = 0.0 if span <= 0 else (boundary - prev[3]) / span
+            return prev[0] + frac * (row[0] - prev[0])
+        prev = row
+    return None
+
+
+def occupancy_from_trace(rows: list[tuple], config: CorridorConfig,
+                         tol: float = 1e-2) -> list:
+    """Lateral-exclusion check on actual motion: merging-zone entry and exit
+    times are interpolated from the trace, vehicles still inside at the end
+    of the data are treated as occupying until the last timestamp, and
+    overlapping cross-lane stays are reported via the same pairwise check
+    the coordinator uses. The tolerance absorbs interpolation error so
+    touching intervals stay legal."""
+    if not rows:
+        return []
+    t_end = max(row[0] for row in rows) + config.dt
+    by_vehicle = _per_vehicle(rows)
+    conflicts = []
+    for zone in config.zones:
+        if zone.shared_lane:
+            continue   # single shared lane: rear-end rules govern, not exclusion
+        intervals = []
+        for ap in zone.approaches:
+            mz_end = ap.mz_start + zone.mz_length
+            for vid, vrows in by_vehicle.items():
+                if vrows[0][2] != ap.route:
+                    continue
+                t_in = _crossing_time(vrows, ap.mz_start)
+                if t_in is None:
+                    continue
+                t_out = _crossing_time(vrows, mz_end)
+                if t_out is None:
+                    t_out = t_end
+                intervals.append(OccupancyInterval(vehicle_id=vid, t_enter=t_in,
+                                                   t_exit=t_out, lane=ap.lane))
+        occ = MzOccupancy(zone=zone.index, intervals=intervals)
+        conflicts.extend(occupancy_check(occ, tol=tol))
+    return conflicts

@@ -18,6 +18,7 @@ from corridorsim.coordinator import ZoneCoordinator, occupancy_check
 from corridorsim.core import load_config_file
 from corridorsim import sim
 from corridorsim.metrics import (
+    by_step,
     compute_metrics,
     occupancy_from_trace,
     render_report,
@@ -186,7 +187,7 @@ def test_criterion_3_schedules_and_traces_are_conflict_free():
         run_cfg = dataclasses.replace(cfg, mode="optimal", seed=seed,
                                       horizon=120.0)
         result = sim.run(run_cfg)
-        rear += len(rear_end_check(result.rows, run_cfg))
+        rear += len(rear_end_check(by_step(result.rows), run_cfg))
         lateral += len(occupancy_from_trace(result.rows, run_cfg))
         sim_truncs += result.events.get("gap_truncations", 0)
         relaxations += result.events.get("tm_relaxations", 0)

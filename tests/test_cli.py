@@ -30,7 +30,8 @@ def test_run_writes_outputs_and_report(tmp_path):
     for name in ("trace_optimal_2.csv", "schedule_optimal_2.csv",
                  "events_optimal_2.json", "report.txt"):
         assert os.path.exists(os.path.join(out, name)), name
-    report = open(os.path.join(out, "report.txt")).read()
+    with open(os.path.join(out, "report.txt")) as fh:
+        report = fh.read()
     assert "corridor comparison over seeds" in report
     assert "zone 3 (roundabout)" in report
 
@@ -105,7 +106,8 @@ def test_bench_round_trip(tmp_path, capsys, short_trace):
     text = capsys.readouterr().out
     assert rc == 0, text
     assert "equivalent" in text
-    lines = open(out).read().splitlines()
+    with open(out) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "t,command"
     assert len(lines) > 100
 

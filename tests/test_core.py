@@ -108,6 +108,19 @@ def test_mz_speed_outside_speed_bounds_rejected(old, new, path):
     assert info.value.path == path
 
 
+@pytest.mark.parametrize("name", ["ma,in", 'ma"in', "ma\rin", "ma\nin", ""])
+def test_route_name_a_trace_cannot_carry_rejected(name):
+    quoted = '"' + name.replace('"', '\\"').replace("\r", "\\r").replace("\n", "\\n") + '"'
+    doc = ((CONFIG_DIR / "bench.yaml").read_text()
+           .replace("main_route: main", f"main_route: {quoted}")
+           .replace("\n  main:", f"\n  {quoted}:")
+           .replace("route: main,", f"route: {quoted},"))
+    assert doc.count(quoted) == 5
+    with pytest.raises(ConfigError, match="route name") as info:
+        load_config(doc)
+    assert info.value.path == f"routes.{name}"
+
+
 def test_overlapping_zones_rejected():
     doc = table1_text().replace("- {route: main, lane: srz, mz_entry: 700 m, priority: true}",
                                 "- {route: main, lane: srz, mz_entry: 420 m, priority: true}")

@@ -329,7 +329,7 @@ def test_short_runs_have_no_rear_end_or_lateral_violations():
     for mode in ("baseline", "optimal"):
         cfg = table1(mode=mode, horizon=120.0, seed=5)
         res = sim.run(cfg)
-        assert metrics.rear_end_check(res.rows, cfg) == []
+        assert metrics.rear_end_check(metrics.by_step(res.rows), cfg) == []
         assert metrics.occupancy_from_trace(res.rows, cfg) == []
 
 
@@ -433,7 +433,7 @@ def test_rear_end_check_flags_a_compressed_pair():
         (0.0, 1, "main", 100.0, 10.0, 0.0, 0),
         (0.0, 2, "main", 90.0, 10.0, 0.0, 0),   # gap 10 < 1.2 * 10
     ]
-    bad = metrics.rear_end_check(rows, cfg)
+    bad = metrics.rear_end_check(metrics.by_step(rows), cfg)
     assert len(bad) == 1
     t, follower, leader, gap, required = bad[0]
     assert (follower, leader) == (2, 1)
@@ -446,7 +446,7 @@ def test_rear_end_check_accepts_exact_headway():
         (0.0, 1, "main", 112.0, 10.0, 0.0, 0),
         (0.0, 2, "main", 100.0, 10.0, 0.0, 0),
     ]
-    assert metrics.rear_end_check(rows, cfg) == []
+    assert metrics.rear_end_check(metrics.by_step(rows), cfg) == []
 
 
 def test_occupancy_from_trace_catches_cross_lane_overlap():
