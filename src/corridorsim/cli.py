@@ -29,17 +29,17 @@ from corridorsim.metrics import (
     MetricsAccumulator,
     OccupancyRows,
     TraceWriter,
+    iter_trace,
     occupancy_from_trace,
     read_schedule,
     read_steps,
-    read_trace,
     render_report,
     rear_end_check,
     write_events,
     write_schedule,
 )
-# unused since run and verify stream; benchmarks/layers.py patches these names
-from corridorsim.metrics import compute_metrics, write_trace  # noqa: F401
+# unused since run, verify and bench stream; benchmarks/layers.py patches these names
+from corridorsim.metrics import compute_metrics, read_trace, write_trace  # noqa: F401
 
 log = logging.getLogger("corridorsim")
 
@@ -138,14 +138,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from corridorsim.v2x.replay import frames_from_trace, publish_frames
 
     cfg = _load(args.config)
+
+    def frames():
+        """The trace's frames, built as its rows are read."""
+        return frames_from_trace(iter_trace(args.trace), cfg, schedule)
+
+    # the twin runs first: its pass reads the whole trace, so a bad row is
+    # reported before any socket opens
+    twin_core = HeadUnitCore(cfg, route=args.route, stale_after=args.stale_after)
     try:
-        rows = read_trace(args.trace)
         schedule = read_schedule(args.schedule) if args.schedule else None
+        twin_cmds = list(command_stream(
+            (decode_bsm(encode_bsm(f)) for f in frames()), twin_core, args.tick_rate))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    frames = list(frames_from_trace(rows, cfg, schedule))
-    if not frames:
+    if not twin_cmds:    # a stream of no frames holds no tick
         print("error: trace produced no frames", file=sys.stderr)
         return 2
 
@@ -164,16 +172,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     consumer = threading.Thread(target=consume)
     consumer.start()
     t_start = time.monotonic()
-    published = publish_frames(frames, broker.address, rate=args.rate)
+    published = publish_frames(frames(), broker.address, rate=args.rate)
     consumer.join()
     # the stream's closing tick fires only after idle_timeout of quiet, so
     # the clock stops at the command before it
     wall = max(received_at[-2] - t_start, 0.0) if len(received_at) > 1 else 0.0
     broker.stop()
-
-    twin_core = HeadUnitCore(cfg, route=args.route, stale_after=args.stale_after)
-    twin_cmds = list(command_stream(
-        (decode_bsm(encode_bsm(f)) for f in frames), twin_core, args.tick_rate))
+    counts = broker.counters()
 
     n = min(len(socket_cmds), len(twin_cmds))
     worst = max((abs(a[1] - b[1]) for a, b in zip(socket_cmds, twin_cmds)),
@@ -187,11 +192,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for t, v in socket_cmds:
                 fh.write(f"{t:.3f},{v:.9f}\n")
     print(f"frames published:    {published} in {wall:.1f} s wall")
+    print(f"broker:              {counts['published']} published, "
+          f"{counts['delivered']} delivered, {counts['dropped']} dropped")
     print(f"commands (socket):   {len(socket_cmds)}")
     print(f"commands (twin):     {len(twin_cmds)}")
     print(f"worst |dv|:          {worst:.3e} m/s over {n} shared ticks")
     print(f"decode errors:       {core.decode_errors}")
     print(f"stale ticks:         {core.stale_ticks}")
+    print(f"replans:             {core.replans} ({core.clamped_plans} clamped)")
     ok = worst <= args.tolerance
     print("equivalent" if ok else "DIVERGED")
     return 0 if ok else 1

@@ -23,8 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from corridorsim.core import (
     Approach,
     BaselineParams,
@@ -90,6 +88,7 @@ class Spawner:
     def _draw(seed: int, route_index: int, rate: float, horizon: float) -> list[float]:
         if rate <= 0:
             return []
+        import numpy as np   # here, so verbs that never spawn skip its import
         rng = np.random.default_rng(np.random.SeedSequence([seed, route_index]))
         times = []
         t = float(rng.exponential(1.0 / rate))

@@ -51,22 +51,49 @@ def encode_publish(topic: str, payload: bytes) -> bytes:
     return bytes([OP_PUBLISH]) + _TOPIC_LEN.pack(len(data)) + data + payload
 
 
-def parse_payload(payload: bytes):
-    """Return ("subscribe", topic) or ("publish", topic, data)."""
-    if not payload:
-        raise ProtocolError("empty payload")
-    op = payload[0]
-    if op == OP_SUBSCRIBE:
-        return ("subscribe", payload[1:].decode("utf-8"))
-    if op == OP_PUBLISH:
-        if len(payload) < 3:
-            raise ProtocolError("publish payload truncated")
-        (tlen,) = _TOPIC_LEN.unpack_from(payload, 1)
-        if len(payload) < 3 + tlen:
-            raise ProtocolError("publish topic truncated")
-        topic = payload[1 : 3 + tlen][2:].decode("utf-8")
-        return ("publish", topic, payload[3 + tlen :])
-    raise ProtocolError(f"unknown opcode {op:#x}")
+def parse_frames(frames: Iterable[bytes]) -> list:
+    """Parse whole frames, length prefix included, as ``FrameReader.read``
+    returns them; the one parser of both directions.
+
+    Each frame becomes ``(topic, data)`` for a PUBLISH or ``(topic, None)``
+    for a SUBSCRIBE.  A malformed frame becomes the exception it raises
+    (``ProtocolError``, or ``UnicodeDecodeError`` for a topic that is not
+    UTF-8), in its place, so a caller can handle the frames before it
+    first.  Each distinct topic is decoded once per call.
+    """
+    out: list = []
+    append = out.append
+    topics: dict[bytes, str] = {}
+    for raw in frames:
+        n = len(raw)
+        op = raw[4] if n > 4 else None
+        if op == OP_PUBLISH:
+            if n < 7:
+                append(ProtocolError("publish payload truncated"))
+                continue
+            (tlen,) = _TOPIC_LEN.unpack_from(raw, 5)
+            end = 7 + tlen
+            if n < end:
+                append(ProtocolError("publish topic truncated"))
+                continue
+            name = raw[7:end]
+            data = raw[end:]
+        elif op == OP_SUBSCRIBE:
+            name = raw[5:]
+            data = None
+        else:
+            append(ProtocolError("empty payload" if op is None
+                                 else f"unknown opcode {op:#x}"))
+            continue
+        topic = topics.get(name)
+        if topic is None:
+            try:
+                topic = topics[name] = name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                append(exc)
+                continue
+        append((topic, data))
+    return out
 
 
 class FrameReader:
@@ -146,6 +173,14 @@ class Broker:
     def address(self) -> tuple[str, int]:
         return (self._host, self._port)
 
+    def counters(self) -> dict[str, int]:
+        """Frames published, delivered and dropped so far, read under the
+        dispatch lock: a delivery counts once its write has returned, so a
+        subscriber can hold bytes the unlocked fields do not count yet."""
+        with self._lock:
+            return {"published": self.published, "delivered": self.delivered,
+                    "dropped": self.dropped}
+
     def start(self) -> "Broker":
         t = threading.Thread(target=self._accept_loop, daemon=True)
         with self._lock:
@@ -197,13 +232,14 @@ class Broker:
         outbox: dict[socket.socket, list[bytes]] = {}
         with self._lock:
             try:
-                for raw in frames:
-                    parsed = parse_payload(raw[_LEN.size:])
-                    if parsed[0] == "subscribe":
+                for raw, parsed in zip(frames, parse_frames(frames)):
+                    if isinstance(parsed, Exception):
+                        raise parsed
+                    topic, data = parsed
+                    if data is None:
                         self._flush_locked(outbox)
-                        self._subs.setdefault(parsed[1], []).append(conn)
+                        self._subs.setdefault(topic, []).append(conn)
                         continue
-                    topic = parsed[1]
                     self.published += 1
                     for sub in self._subs.get(topic, ()):
                         if self._drop_prob > 0 and self._rng.random() < self._drop_prob:
@@ -281,7 +317,7 @@ class BrokerClient:
         self._sock = socket.create_connection(address, timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = FrameReader(self._sock)
-        self._inbox: deque[bytes] = deque()
+        self._inbox: deque = deque()   # parsed deliveries not yet returned
 
     def subscribe(self, topic: str) -> None:
         self.send_raw(encode_subscribe(topic))
@@ -293,34 +329,51 @@ class BrokerClient:
         """Publish each (topic, payload) in order; returns the count.
 
         Frames are coalesced into writes of up to ``READ_SIZE`` bytes; all
-        of them are sent when this returns.
+        of them are sent when this returns.  Each frame is the bytes of
+        ``encode_publish`` behind their length; the part before the payload
+        is built once per (topic, payload length).
         """
+        heads: dict[tuple[str, int], bytes] = {}
         parts: list[bytes] = []
+        append = parts.append
         size = sent = 0
         for topic, payload in messages:
-            data = encode_publish(topic, payload)
-            if size + _LEN.size + len(data) > READ_SIZE and parts:
+            n = len(payload)
+            head = heads.get((topic, n))
+            if head is None:
+                body = encode_publish(topic, b"")
+                head = heads[(topic, n)] = _LEN.pack(len(body) + n) + body
+            n += len(head)
+            if size + n > READ_SIZE and parts:
                 self._sock.sendall(b"".join(parts))
                 parts.clear()
                 size = 0
-            parts += (_LEN.pack(len(data)), data)
-            size += _LEN.size + len(data)
+            append(head)
+            append(payload)
+            size += n
             sent += 1
         if parts:
             self._sock.sendall(b"".join(parts))
         return sent
 
     def recv(self) -> tuple[str, bytes] | None:
-        """Next (topic, payload) delivery, or None when the broker hangs up."""
-        if not self._inbox:
+        """Next (topic, payload) delivery, or None when the broker hangs up.
+
+        Each read's deliveries are parsed together; a malformed one raises
+        when its turn comes, after the deliveries before it.
+        """
+        inbox = self._inbox
+        if not inbox:
             frames = self._reader.read()
             if frames is None:
                 return None
-            self._inbox.extend(frames)
-        parsed = parse_payload(self._inbox.popleft()[_LEN.size:])
-        if parsed[0] != "publish":
+            inbox.extend(parse_frames(frames))
+        item = inbox.popleft()
+        if isinstance(item, Exception):
+            raise item
+        if item[1] is None:
             raise ProtocolError("unexpected non-publish delivery")
-        return (parsed[1], parsed[2])
+        return item
 
     def sync(self) -> None:
         """Block until all prior subscribes on this connection are registered.

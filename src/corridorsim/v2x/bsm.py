@@ -42,6 +42,10 @@ _I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
 _CZ_MAX = 3
 _MSG_IDS = (MSG_BSM, MSG_SPAT)
 
+# The broker topic of each zone id's frames; matching is exact, so a
+# subscriber to every zone subscribes to each.
+BSM_TOPICS = tuple(f"bsm/{cz}" for cz in range(_CZ_MAX + 1))
+
 
 # builds a frame straight from a field tuple, skipping the keyword parsing
 _new = tuple.__new__
@@ -85,18 +89,22 @@ class BsmFrame(NamedTuple):
         seq: int,
         timestamp: float,
     ) -> "BsmFrame":
-        """Quantize SI values (m/s, s, m) into wire units."""
+        """Quantize SI values (m/s, s, m) into wire units.
+
+        The one place frames are quantized.  Negative speed and distance
+        clamp to zero (as ``max(x, 0.0)``); ``round`` halves to even.
+        """
         return _new(BsmFrame, (
             MSG_BSM,
             vehicle_id,
             0,
             0,
-            int(round(max(speed, 0.0) / SPEED_UNIT)),
-            int(round(tm * 1000.0)),
-            int(round(max(dist, 0.0) / DIST_UNIT)),
+            round((0.0 if speed < 0.0 else speed) / SPEED_UNIT),
+            round(tm * 1000.0),
+            round((0.0 if dist < 0.0 else dist) / DIST_UNIT),
             cz,
             seq & 0xFF,
-            int(round(timestamp * 1000.0)),
+            round(timestamp * 1000.0),
         ))
 
 

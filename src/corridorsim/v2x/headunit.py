@@ -5,7 +5,10 @@ broadcast traffic.  Each tick it
 
 1. integrates ego distance at the last commanded speed,
 2. locates the current coordination zone from hard-coded route geometry,
-3. filters buffered frames to that zone,
+3. filters buffered frames to that zone (the buffer holds each vehicle's
+   latest frame; a frame stamped more than ``stale_after`` before the tick
+   is dropped, with the buffer swept only on ticks where such a frame can
+   be in it),
 4. picks the frame immediately ahead by distance-to-zone as putative leader
    (nearest larger distance below ego's own; ties break on lower vehicle id),
 5. schedules its merging time from the leader's broadcast one via the
@@ -21,6 +24,7 @@ frame timestamps; wall pacing upstream changes nothing downstream.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import replace
 from typing import Iterable, Iterator
 
@@ -36,7 +40,7 @@ from corridorsim.sim import MIN_SCHED_SPEED, plan_merge
 # solve_bounded is unused here; benchmarks/layers.py patches this name
 from corridorsim.trajectory import evaluate, solve_bounded  # noqa: F401
 from corridorsim.v2x.broker import BrokerClient
-from corridorsim.v2x.bsm import MSG_SPAT, BsmFrame, FrameError, decode_bsm
+from corridorsim.v2x.bsm import BSM_TOPICS, MSG_SPAT, BsmFrame, FrameError, decode_bsm
 
 log = logging.getLogger(__name__)
 
@@ -47,9 +51,6 @@ __all__ = [
     "run_over_socket",
     "BSM_TOPICS",
 ]
-
-# Replay publishes per-zone topics; matching is exact, so subscribe to each.
-BSM_TOPICS = tuple(f"bsm/{z}" for z in range(4))
 
 _DIST_EPS = 1e-9
 
@@ -73,6 +74,8 @@ class HeadUnitCore:
         self.dist = 0.0
         self.v_cmd = self.route.limit_at(0.0)
         self.buffer: dict[int, BsmFrame] = {}
+        # at most the oldest buffered timestamp_ms; inf for an empty buffer
+        self._oldest_ms: float = math.inf
         self.t_last_rx: float | None = None
         self._t_prev: float | None = None
 
@@ -96,6 +99,8 @@ class HeadUnitCore:
             self.spat_frames += 1
             return
         self.buffer[frame.vehicle_id] = frame
+        if frame.timestamp_ms < self._oldest_ms:
+            self._oldest_ms = frame.timestamp_ms
         self.t_last_rx = t
 
     def ingest_bytes(self, data: bytes, t: float) -> None:
@@ -150,11 +155,22 @@ class HeadUnitCore:
     # internals
 
     def _expire(self, t: float) -> None:
+        """Drop frames stamped more than ``stale_after`` before ``t``.
+
+        The buffer is swept only when the lower bound on its timestamps is
+        itself stale: the test is monotone in the timestamp, so while the
+        bound is fresh every frame is.  Each sweep sets the bound to the
+        oldest frame left; ``ingest`` lowers it.
+        """
         cutoff = t - self.stale_after
-        dead = [vid for vid, f in self.buffer.items()
-                if f.timestamp_ms / 1000.0 < cutoff]
-        for vid in dead:
-            del self.buffer[vid]
+        if not self._oldest_ms / 1000.0 < cutoff:
+            return
+        buffer = self.buffer
+        for vid in [vid for vid, f in buffer.items()
+                    if f.timestamp_ms / 1000.0 < cutoff]:
+            del buffer[vid]
+        self._oldest_ms = min((f.timestamp_ms for f in buffer.values()),
+                              default=math.inf)
 
     def _locate(self, d: float):
         for zone, ap in self.zones:

@@ -12,15 +12,16 @@ The trace file is read row by row as frames go out, never held whole.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import Iterable, Iterator
 
 from corridorsim.coordinator import ScheduleEntry
 from corridorsim.core import CorridorConfig
-from corridorsim.metrics import iter_trace, read_schedule
+from corridorsim.metrics import read_schedule, read_steps
 # read_trace is unused here; benchmarks/layers.py patches this name
 from corridorsim.metrics import read_trace  # noqa: F401
 from corridorsim.v2x.broker import BrokerClient
-from corridorsim.v2x.bsm import BsmFrame, encode_bsm
+from corridorsim.v2x.bsm import BSM_TOPICS, BsmFrame, encode_bsm
 
 
 def _mz_positions(config: CorridorConfig) -> dict[tuple[str, int], float]:
@@ -44,25 +45,26 @@ def frames_from_trace(
     """
     mz_at = _mz_positions(config)
     tm_at = {(e.vehicle_id, e.zone): e.tm for e in schedule or ()}
-    seq: dict[int, int] = {}
+    build = BsmFrame.from_state
+    # per vehicle: [next seq, route, zone, the zone's MZ entry on that
+    # route, the merging time], looked up again when route or zone changes
+    state: dict[int, list] = {}
     for t, vid, route, s, v, _u, zone in rows:
+        st = state.get(vid)
+        if st is None:
+            st = state[vid] = [0, None, 0, 0.0, 0.0]
+        if st[2] != zone or st[1] != route:
+            st[1] = route
+            st[2] = zone
+            if zone > 0:
+                st[3] = mz_at[(route, zone)]
+                st[4] = tm_at.get((vid, zone), 0.0)
+        n = st[0]
+        st[0] = n + 1
         if zone > 0:
-            dist = max(mz_at[(route, zone)] - s, 0.0)
-            tm = tm_at.get((vid, zone), 0.0)
+            yield build(vid, v, st[4], st[3] - s, zone, n, t)
         else:
-            dist = 0.0
-            tm = 0.0
-        n = seq.get(vid, 0)
-        seq[vid] = n + 1
-        yield BsmFrame.from_state(
-            vehicle_id=vid,
-            speed=v,
-            tm=tm,
-            dist=dist,
-            cz=zone,
-            seq=n,
-            timestamp=t,
-        )
+            yield build(vid, v, 0.0, 0.0, zone, n, t)
 
 
 def publish_frames(
@@ -75,13 +77,17 @@ def publish_frames(
     With ``rate`` 0 the frames go out in coalesced writes; paced, each frame
     is on the wire before the wait for the next.
     """
-    messages = ((f"bsm/{frame.cz}", encode_bsm(frame)) for frame in frames)
+    def messages():
+        for frame in frames:
+            payload = encode_bsm(frame)   # raises on a zone id with no topic
+            yield BSM_TOPICS[frame.cz], payload
+
     with BrokerClient(address) as client:
         if rate <= 0:
-            return client.publish_many(messages)
+            return client.publish_many(messages())
         sent = 0
         start = time.monotonic()
-        for topic, payload in messages:
+        for topic, payload in messages():
             delay = start + sent / rate - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
@@ -99,5 +105,5 @@ def replay_publish(
 ) -> int:
     """Publish a trace file's frames, reading its rows as they are sent."""
     schedule = read_schedule(schedule_path) if schedule_path else None
-    frames = frames_from_trace(iter_trace(trace_path), config, schedule)
-    return publish_frames(frames, address, rate)
+    rows = chain.from_iterable(step for _, step in read_steps(trace_path))
+    return publish_frames(frames_from_trace(rows, config, schedule), address, rate)

@@ -16,7 +16,7 @@ from corridorsim.v2x.broker import (
     ProtocolError,
     encode_publish,
     encode_subscribe,
-    parse_payload,
+    parse_frames,
 )
 from corridorsim.v2x.bsm import encode_bsm
 from corridorsim.v2x.headunit import BSM_TOPICS
@@ -169,14 +169,11 @@ def test_concurrent_publishers_interleave_without_loss(broker):
 
 
 def test_payload_parser_rejects_junk():
-    with pytest.raises(ProtocolError):
-        parse_payload(b"")
-    with pytest.raises(ProtocolError):
-        parse_payload(b"\x02\x00")
-    with pytest.raises(ProtocolError):
-        parse_payload(b"\x02\x00\x09abc")
-    op, topic, data = parse_payload(encode_publish("bsm/2", b"\x00\x01"))
-    assert (op, topic, data) == ("publish", "bsm/2", b"\x00\x01")
+    junk = [b"", b"\x02\x00", b"\x02\x00\x09abc", b"\x07topic"]
+    good = [encode_publish("bsm/2", b"\x00\x01"), encode_subscribe("bsm/2")]
+    parsed = parse_frames([_framed(p) for p in junk + good])
+    assert [type(p) for p in parsed[:4]] == [ProtocolError] * 4
+    assert parsed[4:] == [("bsm/2", b"\x00\x01"), ("bsm/2", None)]
 
 
 def _topics(broker):
@@ -347,6 +344,48 @@ def test_client_reads_many_deliveries_from_one_write(fake_broker):
     client.close()
 
 
+def test_client_recv_raises_at_each_malformed_delivery_in_its_turn(fake_broker):
+    client = BrokerClient(fake_broker.getsockname(), timeout=5.0)
+    conn, _ = fake_broker.accept()
+    good = [("bsm/1", b"a" * 28), ("bsm/2", b""), ("bsm/1", b"b" * 3)]
+    bad_topic = b"\x02\x00\x02\xff\xfe" + b"data"
+    conn.sendall(b"".join(_framed(encode_publish(*m)) for m in good[:2])
+                 + _framed(encode_subscribe("bsm/1"))
+                 + _framed(bad_topic)
+                 + _framed(encode_publish(*good[2])))
+    assert client.recv() == good[0]
+    assert client.recv() == good[1]
+    with pytest.raises(ProtocolError, match="non-publish"):
+        client.recv()
+    with pytest.raises(UnicodeDecodeError):
+        client.recv()
+    assert client.recv() == good[2]
+    conn.close()
+    assert client.recv() is None
+    client.close()
+
+
+def test_publish_many_sends_each_message_as_its_own_frame(fake_broker):
+    client = BrokerClient(fake_broker.getsockname(), timeout=5.0)
+    conn, _ = fake_broker.accept()
+    topics = ["bsm/1", "bsm/2", "zone/\u00e9t\u00e9", "t"]
+    messages = [(topics[i % len(topics)], bytes([i % 251]) * (i * 7 % 90))
+                for i in range(3000)]
+    assert any(not payload for _, payload in messages)
+    want = b"".join(struct.pack(">I", len(d)) + d for d in
+                    (encode_publish(t, p) for t, p in messages))
+    assert len(want) > 2 * READ_SIZE    # spans several coalesced writes
+    got: list[bytes] = []
+    reader = threading.Thread(target=_drain, args=(conn, len(want) + 1, got))
+    reader.start()
+    assert client.publish_many(messages) == len(messages)
+    client.close()
+    reader.join(timeout=30.0)
+    assert not reader.is_alive()
+    assert got == [want]
+    conn.close()
+
+
 def test_oversized_length_prefix_closes_only_that_connection(broker):
     sub = BrokerClient(broker.address, timeout=5.0)
     sub.subscribe("t")
@@ -412,7 +451,8 @@ def test_flood_reaches_a_raw_subscriber_byte_for_byte(broker, bench_frames):
     with pytest.raises(TimeoutError):
         raw.recv(1)
     raw.close()
-    assert broker.published == broker.delivered == len(bench_frames) + 1
+    counts = broker.counters()
+    assert counts["published"] == counts["delivered"] == len(bench_frames) + 1
 
 
 def test_subscribe_publishes_and_sync_in_one_write(broker, bench_frames):
@@ -430,7 +470,10 @@ def test_subscribe_publishes_and_sync_in_one_write(broker, bench_frames):
     assert not reader.is_alive()
     assert got == [want]
     raw.close()
-    assert broker.published == broker.delivered == len(bench_frames) + 1
+    # read under the dispatch lock: the last write can be drained before
+    # the broker thread counts it
+    counts = broker.counters()
+    assert counts["published"] == counts["delivered"] == len(bench_frames) + 1
     assert sync not in _topics(broker)
 
 

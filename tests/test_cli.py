@@ -129,3 +129,14 @@ def test_console_help_runs():
     assert proc.returncode == 0
     for verb in ("run", "verify", "bench", "broker", "replay", "headunit"):
         assert verb in proc.stdout
+
+
+def test_verbs_other_than_run_do_not_load_numpy():
+    # numpy is for drawing arrivals only; importing it costs every verb's start
+    code = ("import sys\n"
+            "import corridorsim.cli, corridorsim.v2x.headunit, corridorsim.v2x.replay\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import threading
 
 import pytest
@@ -125,6 +126,37 @@ def test_decode_errors_and_markers_counted(cfg):
     core.ingest_bytes(encode_bsm(spat), 0.0)
     assert core.spat_frames == 1
     assert not core.buffer
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_expiry_keeps_what_a_full_sweep_keeps(cfg, seed):
+    """After every tick the buffer holds exactly the frames a sweep of the
+    whole buffer would keep, with late frames and vehicles coming and
+    going."""
+    rng = random.Random(seed)
+    core = HeadUnitCore(cfg, stale_after=rng.choice([0.05, 0.3, 1.0]))
+    want: dict[int, BsmFrame] = {}
+    live = set(range(5))
+    next_vid = 5
+    for step in range(1500):
+        t = step * 0.01
+        if rng.random() < 0.03:
+            live.add(next_vid)
+            next_vid += 1
+        if live and rng.random() < 0.03:
+            live.discard(rng.choice(sorted(live)))
+        for vid in rng.sample(sorted(live), k=min(len(live), rng.randint(0, 3))):
+            # mostly current, sometimes late by up to 2 s, never before 0
+            lag = rng.choice([0, 0, 0, 1, 10, 300, 2000])
+            frame = BsmFrame(vehicle_id=vid, cz=rng.randint(0, 3),
+                             dist_dm=rng.randint(0, 3000),
+                             timestamp_ms=max(round(t * 1000) - rng.randint(0, lag), 0))
+            core.ingest(frame, t)
+            want[vid] = frame
+        core.tick(t)
+        cutoff = t - core.stale_after
+        want = {vid: f for vid, f in want.items() if not f.timestamp_ms / 1000.0 < cutoff}
+        assert core.buffer == want, (seed, step)
 
 
 def test_command_stream_tick_grid():
