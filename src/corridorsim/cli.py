@@ -131,6 +131,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # bench
 
 
+class _BadInput(Exception):
+    """A trace row or frame that ``bench`` cannot read or encode."""
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     from corridorsim.v2x.broker import Broker
     from corridorsim.v2x.bsm import decode_bsm, encode_bsm
@@ -138,19 +142,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from corridorsim.v2x.replay import frames_from_trace, publish_frames
 
     cfg = _load(args.config)
+    try:
+        schedule = read_schedule(args.schedule) if args.schedule else None
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     def frames():
         """The trace's frames, built as its rows are read."""
         return frames_from_trace(iter_trace(args.trace), cfg, schedule)
 
+    def twin_frames():
+        """The frames as the socket path decodes them.  A row that cannot be
+        read or a frame that cannot be encoded is bad input; an error the
+        head unit raises while planning is not caught here."""
+        try:
+            for frame in frames():
+                yield decode_bsm(encode_bsm(frame))
+        except (OSError, ValueError) as exc:
+            raise _BadInput(exc) from exc
+
     # the twin runs first: its pass reads the whole trace, so a bad row is
     # reported before any socket opens
     twin_core = HeadUnitCore(cfg, route=args.route, stale_after=args.stale_after)
     try:
-        schedule = read_schedule(args.schedule) if args.schedule else None
-        twin_cmds = list(command_stream(
-            (decode_bsm(encode_bsm(f)) for f in frames()), twin_core, args.tick_rate))
-    except (OSError, ValueError) as exc:
+        twin_cmds = list(command_stream(twin_frames(), twin_core, args.tick_rate))
+    except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not twin_cmds:    # a stream of no frames holds no tick

@@ -24,7 +24,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
@@ -182,8 +182,7 @@ def read_steps(path: str) -> Iterator[tuple[float, list[tuple]]]:
 
 def iter_trace(path: str) -> Iterator[tuple]:
     """Trace rows one at a time, typed as ``read_trace`` returns them."""
-    for _, rows in read_steps(path):
-        yield from rows
+    return chain.from_iterable(rows for _, rows in read_steps(path))
 
 
 def read_trace(path: str) -> list[tuple]:

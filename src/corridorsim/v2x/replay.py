@@ -12,12 +12,11 @@ The trace file is read row by row as frames go out, never held whole.
 from __future__ import annotations
 
 import time
-from itertools import chain
 from typing import Iterable, Iterator
 
 from corridorsim.coordinator import ScheduleEntry
 from corridorsim.core import CorridorConfig
-from corridorsim.metrics import read_schedule, read_steps
+from corridorsim.metrics import iter_trace, read_schedule
 # read_trace is unused here; benchmarks/layers.py patches this name
 from corridorsim.metrics import read_trace  # noqa: F401
 from corridorsim.v2x.broker import BrokerClient
@@ -46,23 +45,13 @@ def frames_from_trace(
     mz_at = _mz_positions(config)
     tm_at = {(e.vehicle_id, e.zone): e.tm for e in schedule or ()}
     build = BsmFrame.from_state
-    # per vehicle: [next seq, route, zone, the zone's MZ entry on that
-    # route, the merging time], looked up again when route or zone changes
-    state: dict[int, list] = {}
+    seq: dict[int, int] = {}
     for t, vid, route, s, v, _u, zone in rows:
-        st = state.get(vid)
-        if st is None:
-            st = state[vid] = [0, None, 0, 0.0, 0.0]
-        if st[2] != zone or st[1] != route:
-            st[1] = route
-            st[2] = zone
-            if zone > 0:
-                st[3] = mz_at[(route, zone)]
-                st[4] = tm_at.get((vid, zone), 0.0)
-        n = st[0]
-        st[0] = n + 1
+        n = seq.get(vid, 0)
+        seq[vid] = n + 1
         if zone > 0:
-            yield build(vid, v, st[4], st[3] - s, zone, n, t)
+            yield build(vid, v, tm_at.get((vid, zone), 0.0),
+                        mz_at[(route, zone)] - s, zone, n, t)
         else:
             yield build(vid, v, 0.0, 0.0, zone, n, t)
 
@@ -105,5 +94,5 @@ def replay_publish(
 ) -> int:
     """Publish a trace file's frames, reading its rows as they are sent."""
     schedule = read_schedule(schedule_path) if schedule_path else None
-    rows = chain.from_iterable(step for _, step in read_steps(trace_path))
-    return publish_frames(frames_from_trace(rows, config, schedule), address, rate)
+    frames = frames_from_trace(iter_trace(trace_path), config, schedule)
+    return publish_frames(frames, address, rate)

@@ -122,6 +122,26 @@ def test_bench_wall_time_excludes_idle_tail(capsys, short_trace):
     assert wall < 5.0, text
 
 
+def test_bench_reports_bad_input_but_not_planner_errors(tmp_path, capsys,
+                                                       short_trace, monkeypatch):
+    from corridorsim.v2x.headunit import HeadUnitCore
+
+    trace, sched = short_trace
+    assert main(["bench", "--config", BENCH, "--trace", str(tmp_path / "nope.csv")]) == 2
+    fast = tmp_path / "fast.csv"    # 7000 m/s does not fit the frame's u16 speed
+    fast.write_text("t,id,route,s,v,u,zone\n"
+                    "0.000,1,main,0.000000000,7000.000000000,0.000000000,0\n")
+    assert main(["bench", "--config", BENCH, "--trace", str(fast)]) == 2
+    assert "speed out of u16 range" in capsys.readouterr().err
+
+    def broken_tick(self, t):
+        raise ValueError("planner bug")
+
+    monkeypatch.setattr(HeadUnitCore, "tick", broken_tick)
+    with pytest.raises(ValueError, match="planner bug"):
+        main(["bench", "--config", BENCH, "--trace", trace, "--schedule", sched])
+
+
 def test_console_help_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "corridorsim.cli", "--help"],
