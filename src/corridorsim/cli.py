@@ -136,6 +136,8 @@ class _BadInput(Exception):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from collections import deque
+
     from corridorsim.v2x.broker import Broker
     from corridorsim.v2x.bsm import decode_bsm, encode_bsm
     from corridorsim.v2x.headunit import HeadUnitCore, command_stream, run_over_socket
@@ -179,7 +181,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     stream = run_over_socket(broker.address, core, rate=args.tick_rate,
                              idle_timeout=args.idle_timeout)
     socket_cmds: list[tuple[float, float]] = []
-    received_at: list[float] = []
+    received_at: deque[float] = deque(maxlen=2)
 
     def consume() -> None:
         for cmd in stream:
@@ -193,15 +195,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     consumer.join()
     # the stream's closing tick fires only after idle_timeout of quiet, so
     # the clock stops at the command before it
-    wall = max(received_at[-2] - t_start, 0.0) if len(received_at) > 1 else 0.0
+    wall = max(received_at[0] - t_start, 0.0) if len(received_at) == 2 else 0.0
     broker.stop()
     counts = broker.counters()
 
     n = min(len(socket_cmds), len(twin_cmds))
     worst = max((abs(a[1] - b[1]) for a, b in zip(socket_cmds, twin_cmds)),
-                default=float("inf") if socket_cmds or twin_cmds else 0.0)
-    if len(socket_cmds) != len(twin_cmds):
-        worst = float("inf")
+                default=0.0)
 
     if args.out:
         with open(args.out, "w") as fh:
@@ -217,9 +217,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"decode errors:       {core.decode_errors}")
     print(f"stale ticks:         {core.stale_ticks}")
     print(f"replans:             {core.replans} ({core.clamped_plans} clamped)")
-    ok = worst <= args.tolerance
-    print("equivalent" if ok else "DIVERGED")
-    return 0 if ok else 1
+    if worst > args.tolerance or len(socket_cmds) > len(twin_cmds):
+        print("DIVERGED")
+        return 1
+    if len(socket_cmds) < len(twin_cmds):
+        # agrees wherever it has a tick, so the socket feed stopped early
+        print(f"LOST FEED: socket stream ended after {n} of {len(twin_cmds)} ticks")
+        return 3
+    print("equivalent")
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -84,46 +84,34 @@ class ConflictPair:
     overlap_end: float
 
 
-def _merging_duration(prev: Optional[ScheduleEntry], relation: str,
-                      zone: ConflictZoneSpec, t0: float, v0: float,
-                      bounds: Bounds, headway: float) -> tuple[float, bool]:
-    """Merging duration from the subject's own CZ entry, plus a flag marking
-    gap terms truncated by the kinematic ceiling."""
+def merging_time(t0: float, v0: float, dist: float,
+                 prev: Optional[tuple[float, float]], same_lane: bool,
+                 mz_length: float, bounds: Bounds,
+                 headway: float = 1.2) -> tuple[float, bool]:
+    """Absolute merging time for a vehicle ``dist`` before the MZ line at
+    (t0, v0), and whether the kinematic ceiling truncated its gap term.
+
+    ``prev`` is the FIFO predecessor's booked (tm, v_at_tm), or None. Its
+    gap term is headway*v0/v_prev on a shared lane and S/v_prev across
+    lanes (S = ``mz_length``), clamped below the L/v_min ceiling and above
+    the kinematic floors L/v0 and L/v_max (L = ``dist``); without a
+    predecessor, only the clamps apply.
+    """
     if v0 <= 0:
         raise ValueError("v0 must be positive to schedule a merging time")
-    length = zone.cz_length
-    floor_v0 = length / v0
-    floor_vmax = length / bounds.v_max
-    ceiling = length / bounds.v_min if bounds.v_min > 0 else math.inf
+    floor_v0 = dist / v0
+    floor_vmax = dist / bounds.v_max
+    ceiling = dist / bounds.v_min if bounds.v_min > 0 else math.inf
+    if prev is None:
+        return t0 + min(max(floor_v0, floor_vmax), ceiling), False
 
-    if prev is None or relation == RELATION_NONE:
-        return min(max(floor_v0, floor_vmax), ceiling), False
-
-    if prev.v_at_tm <= 0:
+    tm_prev, v_prev = prev
+    if v_prev <= 0:
         raise ValueError("predecessor merging speed must be positive")
-    if relation == RELATION_SAME_LANE:
-        gap = headway * v0 / prev.v_at_tm
-    elif relation == RELATION_CONFLICT_LANE:
-        gap = zone.mz_length / prev.v_at_tm
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-
-    candidate = (prev.tm - t0) + gap
+    gap = headway * v0 / v_prev if same_lane else mz_length / v_prev
+    candidate = (tm_prev - t0) + gap
     truncated = candidate > ceiling
-    return max(min(candidate, ceiling), floor_v0, floor_vmax), truncated
-
-
-def merging_time(prev: Optional[ScheduleEntry], relation: str,
-                 zone: ConflictZoneSpec, t0: float, v0: float,
-                 bounds: Bounds, headway: float = 1.2) -> float:
-    """Absolute merging time for a vehicle entering the CZ at (t0, v0).
-
-    With a predecessor the gap term is headway*v0/v_prev on the same lane or
-    S/v_prev across lanes, clamped below the L/v_min ceiling and above both
-    kinematic floors; without one, only the clamps apply.
-    """
-    dur, _ = _merging_duration(prev, relation, zone, t0, v0, bounds, headway)
-    return t0 + dur
+    return t0 + max(min(candidate, ceiling), floor_v0, floor_vmax), truncated
 
 
 def occupancy_check(occ: MzOccupancy, tol: float = 1e-9) -> list[ConflictPair]:
@@ -194,14 +182,16 @@ class ZoneCoordinator:
             relation = RELATION_SAME_LANE
         else:
             relation = RELATION_CONFLICT_LANE
-        dur, truncated = _merging_duration(prev, relation, self.zone, t0, v0,
-                                           self.bounds, self.headway)
+        tm, truncated = merging_time(
+            t0, v0, self.zone.cz_length,
+            None if prev is None else (prev.tm, prev.v_at_tm),
+            relation == RELATION_SAME_LANE, self.zone.mz_length,
+            self.bounds, self.headway)
         if truncated:
             self.truncation_count += 1
             log.warning("zone %d: gap term for vehicle %d truncated by the "
                         "kinematic ceiling; rear-end spacing not guaranteed",
                         self.zone.index, vehicle_id)
-        tm = t0 + dur
         # provisional merging speed until the planner reports the real one
         v_at_tm = self.zone.mz_speed
         entry = ScheduleEntry(vehicle_id=vehicle_id, zone=self.zone.index,

@@ -329,17 +329,18 @@ def solve_bounded(bc: BoundaryConditions, bounds: Bounds) -> TrajectoryCoefficie
     unconstrained shape) for callers that must execute something anyway.
     """
     coeffs = solve_unconstrained(bc)
-    speed_hits = check_feasibility(coeffs, bounds) & {"v_max", "v_min"}
+    broken = check_feasibility(coeffs, bounds)
+    speed_hits = broken & {"v_max", "v_min"}
     try:
         if len(speed_hits) == 2:
             raise InfeasibleHorizonError("both speed bounds violated")
         if speed_hits:
             coeffs = solve_with_speed_arc(bc, bounds, speed_hits.pop())
+            broken = check_feasibility(coeffs, bounds)
     except InfeasibleHorizonError as exc:
         if exc.partial is None:
             exc.partial = coeffs
         raise
-    broken = check_feasibility(coeffs, bounds)
     if broken:
         raise InfeasibleHorizonError(
             f"{', '.join(sorted(broken))} violated over the window", partial=coeffs)

@@ -241,12 +241,15 @@ class Broker:
                         self._subs.setdefault(topic, []).append(conn)
                         continue
                     self.published += 1
+                    # a sync echo is control traffic, never a lossy delivery
+                    sync = topic.startswith(SYNC_PREFIX)
                     for sub in self._subs.get(topic, ()):
-                        if self._drop_prob > 0 and self._rng.random() < self._drop_prob:
+                        if (not sync and self._drop_prob > 0
+                                and self._rng.random() < self._drop_prob):
                             self.dropped += 1
                             continue
                         outbox.setdefault(sub, []).append(raw)
-                    if topic.startswith(SYNC_PREFIX):
+                    if sync:
                         self._subs.pop(topic, None)   # its one echo is out
             finally:
                 self._flush_locked(outbox)

@@ -11,8 +11,9 @@ broadcast traffic.  Each tick it
    be in it),
 4. picks the frame immediately ahead by distance-to-zone as putative leader
    (nearest larger distance below ego's own; ties break on lower vehicle id),
-5. schedules its merging time from the leader's broadcast one via the
-   arrival-time recursion, or from its own kinematics with no leader,
+5. schedules its merging time with ``coordinator.merging_time``, the
+   recursion the zone coordinators run: behind the leader's broadcast
+   merging time, or from its own kinematics with no leader,
 6. solves the energy-optimal trajectory and emits the planned speed.
 
 Plans are recomputed only when the leader identity or its merging time
@@ -25,22 +26,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import replace
 from typing import Iterable, Iterator
 
-from corridorsim.coordinator import (
-    RELATION_CONFLICT_LANE,
-    RELATION_NONE,
-    RELATION_SAME_LANE,
-    ScheduleEntry,
-    merging_time,
-)
+from corridorsim.coordinator import merging_time
 from corridorsim.core import Approach, ConflictZoneSpec, CorridorConfig
-from corridorsim.sim import MIN_SCHED_SPEED, plan_merge
+from corridorsim.sim import MIN_SCHED_SPEED, MergePlan, plan_merge
 # solve_bounded is unused here; benchmarks/layers.py patches this name
 from corridorsim.trajectory import evaluate, solve_bounded  # noqa: F401
 from corridorsim.v2x.broker import BrokerClient
-from corridorsim.v2x.bsm import BSM_TOPICS, MSG_SPAT, BsmFrame, FrameError, decode_bsm
+from corridorsim.v2x.bsm import BSM_TOPICS, DIST_UNIT, MSG_SPAT, BsmFrame, FrameError, decode_bsm
 
 log = logging.getLogger(__name__)
 
@@ -79,10 +73,9 @@ class HeadUnitCore:
         self.t_last_rx: float | None = None
         self._t_prev: float | None = None
 
-        self.plan = None
+        # the plan followed, and the (zone, leader id, leader tm_ms) it is for
+        self.plan: MergePlan | None = None
         self.plan_key: tuple | None = None
-        self.v_hold: float | None = None
-        self.leader_id: int | None = None
 
         self.decode_errors = 0
         self.spat_frames = 0
@@ -103,13 +96,15 @@ class HeadUnitCore:
             self._oldest_ms = frame.timestamp_ms
         self.t_last_rx = t
 
-    def ingest_bytes(self, data: bytes, t: float) -> None:
-        try:
-            frame = decode_bsm(data)
-        except FrameError:
-            self.decode_errors += 1
-            return
-        self.ingest(frame, t)
+    @property
+    def v_hold(self) -> float | None:
+        """Speed the plan followed holds through the merging zone."""
+        return None if self.plan is None else self.plan.v_hold
+
+    @property
+    def leader_id(self) -> int | None:
+        """Vehicle the plan followed is scheduled behind."""
+        return None if self.plan_key is None else self.plan_key[1]
 
     # ------------------------------------------------------------------
     # per-tick planning
@@ -122,14 +117,14 @@ class HeadUnitCore:
 
         hit = self._locate(self.dist)
         if hit is None:
-            self._clear_plan()
+            self.plan = self.plan_key = None
             self.v_cmd = self.route.limit_at(self.dist)
             return self.v_cmd
         zone, ap = hit
 
         if self.dist >= ap.mz_start:
             # merging zone is crossed at the planned constant speed
-            self.v_cmd = self.v_hold if self.v_hold is not None else zone.mz_speed
+            self.v_cmd = zone.mz_speed if self.plan is None else self.plan.v_hold
             return self.v_cmd
 
         # feed loss: hold the last command rather than replan on thin air
@@ -146,9 +141,9 @@ class HeadUnitCore:
         if self.plan is None or key != self.plan_key:
             self._replan(zone, ap, leader, t)
             self.plan_key = key
-        if self.plan is not None:
-            _, v, _ = evaluate(self.plan, min(t, self.plan.tm))
-            self.v_cmd = min(max(v, 0.0), self.bounds.v_max)
+        coeffs = self.plan.coeffs
+        _, v, _ = evaluate(coeffs, min(t, coeffs.tm))
+        self.v_cmd = min(max(v, 0.0), self.bounds.v_max)
         return self.v_cmd
 
     # ------------------------------------------------------------------
@@ -178,24 +173,17 @@ class HeadUnitCore:
                 return zone, ap
         return None
 
-    def _clear_plan(self) -> None:
-        self.plan = None
-        self.plan_key = None
-        self.v_hold = None
-        self.leader_id = None
-
     def _leader(self, zone: ConflictZoneSpec, ap: Approach) -> BsmFrame | None:
         """Closest frame strictly ahead by distance-to-zone; ties on lower id.
 
         The scan is order independent: the (distance, id) key is total, so
         frame arrival order within a tick cannot change the choice.
         """
-        ego_dist = ap.mz_start - self.dist
+        cz = zone.index
+        limit = ap.mz_start - self.dist - _DIST_EPS
         best = None
         for frame in self.buffer.values():
-            if frame.cz != zone.index:
-                continue
-            if frame.dist_m >= ego_dist - _DIST_EPS:
+            if frame.cz != cz or frame.dist_dm * DIST_UNIT >= limit:
                 continue
             if (best is None or frame.dist_dm > best.dist_dm
                     or (frame.dist_dm == best.dist_dm
@@ -206,30 +194,17 @@ class HeadUnitCore:
     def _replan(self, zone: ConflictZoneSpec, ap: Approach,
                 leader: BsmFrame | None, t: float) -> None:
         self.replans += 1
-        self.leader_id = leader.vehicle_id if leader else None
-        ego_dist = max(ap.mz_start - self.dist, 1e-6)
-        # remaining distance stands in for the zone length in the recursion
-        shim = replace(zone, cz_length=ego_dist)
-        if leader is None:
-            relation = RELATION_NONE
-            prev = None
-        else:
-            # the frame carries no lane: in a shared-lane zone any leader
-            # is a same-lane one
-            relation = RELATION_SAME_LANE if zone.shared_lane else RELATION_CONFLICT_LANE
-            prev = ScheduleEntry(vehicle_id=leader.vehicle_id, zone=zone.index,
-                                 t0=0.0, tm=leader.tm_s, tf=0.0,
-                                 v_at_tm=max(leader.speed_mps, 0.05),
-                                 relation=relation, lane="")
-        sched_v0 = max(self.v_cmd, MIN_SCHED_SPEED)
-        tm = merging_time(prev, relation, shim, t, sched_v0,
-                          self.bounds, self.headway)
+        # the frame carries no lane: in a shared-lane zone any leader is a
+        # same-lane one
+        tm, _ = merging_time(
+            t, max(self.v_cmd, MIN_SCHED_SPEED), max(ap.mz_start - self.dist, 1e-6),
+            None if leader is None else (leader.tm_s, max(leader.speed_mps, 0.05)),
+            zone.shared_lane, zone.mz_length, self.bounds, self.headway)
         plan = plan_merge(self.dist, self.v_cmd, t, ap.mz_start, zone, tm, self.bounds)
         if not plan.clean:
             self.clamped_plans += 1
             log.warning("headunit: no clean plan at d=%.1f m; clamping", self.dist)
-        self.plan = plan.coeffs
-        self.v_hold = plan.v_hold
+        self.plan = plan
 
 
 def command_stream(frames: Iterable[BsmFrame], core: HeadUnitCore,

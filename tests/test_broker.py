@@ -124,13 +124,26 @@ def test_dead_subscriber_is_pruned(broker):
     other.close()
 
 
+def test_sync_echo_survives_total_loss():
+    # drop injection models a lossy V2X link; the sync echo is control
+    # traffic and must still come back, or sync() would wait forever
+    broker = Broker(port=0, drop_prob=1.0).start()
+    try:
+        with BrokerClient(broker.address, timeout=5.0) as client:
+            client.subscribe("t")
+            client.sync()
+            client.sync()
+        assert broker.counters()["dropped"] == 0
+    finally:
+        broker.stop()
+
+
 def test_drop_injection_discards_everything():
     broker = Broker(port=0, drop_prob=1.0, seed=7).start()
     try:
         sub = BrokerClient(broker.address, timeout=5.0)
         sub.subscribe("t")
-        # sync() echo would be dropped too, so settle the race with a pause
-        time.sleep(0.1)
+        sub.sync()
         pub = BrokerClient(broker.address, timeout=5.0)
         for _ in range(20):
             pub.publish("t", b"x")

@@ -122,6 +122,21 @@ def test_bench_wall_time_excludes_idle_tail(capsys, short_trace):
     assert wall < 5.0, text
 
 
+def test_bench_total_loss_is_a_lost_feed(short_trace):
+    # every delivery dropped: the socket stream is empty, which agrees with
+    # the twin on every shared tick, so the verdict is a lost feed, not a
+    # divergence; a subprocess keeps a hang from holding the suite
+    trace, sched = short_trace
+    proc = subprocess.run(
+        [sys.executable, "-m", "corridorsim.cli", "bench", "--config", BENCH,
+         "--trace", trace, "--schedule", sched, "--drop-prob", "1.0",
+         "--idle-timeout", "0.5"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "commands (socket):   0" in proc.stdout
+    assert "LOST FEED" in proc.stdout and "DIVERGED" not in proc.stdout
+
+
 def test_bench_reports_bad_input_but_not_planner_errors(tmp_path, capsys,
                                                        short_trace, monkeypatch):
     from corridorsim.v2x.headunit import HeadUnitCore

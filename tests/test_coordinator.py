@@ -7,13 +7,10 @@ import pytest
 
 from corridorsim.core import Approach, Bounds, ConflictZoneSpec
 from corridorsim.coordinator import (
-    RELATION_CONFLICT_LANE,
-    RELATION_SAME_LANE,
     ConflictPair,
     DuplicateRegistrationError,
     MzOccupancy,
     OccupancyInterval,
-    ScheduleEntry,
     UnknownVehicleError,
     ZoneCoordinator,
     merging_time,
@@ -32,9 +29,10 @@ def make_zone(cz=100.0, mz=30.0, mz_speed=10.0, kind="merge", terminal="free"):
     )
 
 
-def prev_entry(tm, v_at_tm, lane="lane_a"):
-    return ScheduleEntry(vehicle_id=1, zone=1, t0=0.0, tm=tm, tf=tm + 3.0,
-                         v_at_tm=v_at_tm, relation="none", lane=lane)
+def merge_at(zone, bounds, t0, v0, prev=None, same_lane=False, headway=1.2):
+    """merging_time for a vehicle at the zone's control-zone entry."""
+    return merging_time(t0, v0, zone.cz_length, prev, same_lane, zone.mz_length,
+                        bounds, headway)
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +42,9 @@ def prev_entry(tm, v_at_tm, lane="lane_a"):
 def test_no_predecessor_at_ramp_limit():
     zone = make_zone()
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=0.0, v_max=17.88)
-    tm = merging_time(None, "none", zone, t0=50.0, v0=17.88, bounds=bounds)
+    tm, truncated = merge_at(zone, bounds, t0=50.0, v0=17.88)
     assert tm - 50.0 == pytest.approx(5.592841163310962, abs=1e-4)
+    assert not truncated
 
 
 def test_same_lane_gap_term():
@@ -53,17 +52,17 @@ def test_same_lane_gap_term():
     # candidate 10 + 1.2 clears both kinematic floors and the 20 s ceiling
     zone = make_zone()
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=5.0, v_max=13.4)
-    tm = merging_time(prev_entry(tm=10.0, v_at_tm=10.0), RELATION_SAME_LANE,
-                      zone, t0=0.0, v0=10.0, bounds=bounds, headway=1.2)
+    tm, truncated = merge_at(zone, bounds, t0=0.0, v0=10.0, prev=(10.0, 10.0),
+                             same_lane=True, headway=1.2)
     assert tm == pytest.approx(11.2, abs=1e-12)
+    assert not truncated
 
 
 def test_conflict_lane_gap_term():
     zone = make_zone(mz=30.0)
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=5.0, v_max=13.4)
-    tm = merging_time(prev_entry(tm=10.0, v_at_tm=10.0, lane="lane_b"),
-                      RELATION_CONFLICT_LANE, zone, t0=0.0, v0=10.0,
-                      bounds=bounds, headway=1.2)
+    tm, _ = merge_at(zone, bounds, t0=0.0, v0=10.0, prev=(10.0, 10.0),
+                     same_lane=False, headway=1.2)
     assert tm == pytest.approx(13.0, abs=1e-12)
 
 
@@ -71,8 +70,7 @@ def test_kinematic_floor_dominates_early_leader():
     # leader merges almost immediately; follower still needs L/v0
     zone = make_zone()
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=0.0, v_max=17.88)
-    tm = merging_time(prev_entry(tm=1.0, v_at_tm=10.0), RELATION_SAME_LANE,
-                      zone, t0=0.0, v0=10.0, bounds=bounds)
+    tm, _ = merge_at(zone, bounds, t0=0.0, v0=10.0, prev=(1.0, 10.0), same_lane=True)
     assert tm == pytest.approx(10.0, abs=1e-12)
 
 
@@ -80,17 +78,17 @@ def test_ceiling_truncates_gap_term():
     zone = make_zone()
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=5.0, v_max=13.4)
     # candidate 18 + 3 = 21 exceeds the 20 s ceiling
-    tm = merging_time(prev_entry(tm=18.0, v_at_tm=10.0, lane="lane_b"),
-                      RELATION_CONFLICT_LANE, zone, t0=0.0, v0=10.0,
-                      bounds=bounds)
+    tm, truncated = merge_at(zone, bounds, t0=0.0, v0=10.0, prev=(18.0, 10.0),
+                             same_lane=False)
     assert tm == pytest.approx(20.0, abs=1e-12)
+    assert truncated
 
 
 def test_zero_entry_speed_rejected():
     zone = make_zone()
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=0.0, v_max=17.88)
     with pytest.raises(ValueError):
-        merging_time(None, "none", zone, t0=0.0, v0=0.0, bounds=bounds)
+        merge_at(zone, bounds, t0=0.0, v0=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from corridorsim.core import load_config_file
 from corridorsim import sim
 from corridorsim.v2x.broker import Broker
 from corridorsim.v2x.bsm import MSG_SPAT, BsmFrame, decode_bsm, encode_bsm
-from corridorsim.v2x.headunit import HeadUnitCore, command_stream, run_over_socket
+from corridorsim.v2x.headunit import (
+    HeadUnitCore, command_stream, run_over_socket, socket_frames)
 from corridorsim.v2x.replay import frames_from_trace, publish_frames
 from corridorsim.trajectory import terminal_speed
 
@@ -100,7 +101,7 @@ def test_unreachable_merge_runs_the_clamped_partial_plan(cfg):
     core.tick(0.0)
     assert core.replans == 1 and core.clamped_plans == 1
     assert core.plan is not None
-    assert core.v_hold == max(terminal_speed(core.plan), 0.05)
+    assert core.v_hold == max(terminal_speed(core.plan.coeffs), 0.05)
 
 
 def test_stale_feed_holds_last_command(cfg):
@@ -118,14 +119,34 @@ def test_stale_feed_holds_last_command(cfg):
     assert not core.stale and core.leader_id == 8
 
 
-def test_decode_errors_and_markers_counted(cfg):
+class StubClient:
+    """Delivers the given payloads in order, then times out as a quiet
+    broker connection does."""
+
+    def __init__(self, payloads):
+        self.inbox = [("bsm/test", p) for p in payloads]
+        self.timeout = None
+
+    def settimeout(self, timeout):
+        self.timeout = timeout
+
+    def recv(self):
+        if not self.inbox:
+            raise TimeoutError
+        return self.inbox.pop(0)
+
+
+def test_socket_frames_count_decode_errors_and_spat(cfg):
     core = HeadUnitCore(cfg)
-    core.ingest_bytes(b"too short", 0.0)
-    assert core.decode_errors == 1
     spat = BsmFrame(msg_id=MSG_SPAT, timestamp_ms=100)
-    core.ingest_bytes(encode_bsm(spat), 0.0)
+    client = StubClient([b"too short", encode_bsm(spat)])
+    out = list(command_stream(socket_frames(client, core, idle_timeout=0.5), core))
+    assert client.timeout == 0.5 and not client.inbox
+    assert core.decode_errors == 1
     assert core.spat_frames == 1
     assert not core.buffer
+    # the junk payload yields no frame; the SPaT frame's stamp opens the grid
+    assert [t for t, _ in out] == [0.1]
 
 
 @pytest.mark.parametrize("seed", range(6))
