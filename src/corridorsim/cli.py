@@ -55,10 +55,13 @@ def _parse_seeds(text: str | None, default: int) -> list[int]:
 
 
 def _load(path: str) -> CorridorConfig:
+    """The config at ``path``; one that cannot be read or is invalid is bad
+    input, which exits 2 with the error on stderr."""
     try:
         return load_config_file(path)
     except (OSError, ConfigError) as exc:
-        raise SystemExit(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _address(text: str) -> tuple[str, int]:

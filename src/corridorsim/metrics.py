@@ -59,7 +59,7 @@ STOP_SPEED = 0.1
 
 
 _ROW_FORMAT = "%.3f,%d,%s,%.9f,%.9f,%.9f,%d\n"
-_CHUNK_ROWS = 8192   # bounds the transient text of one write
+_CHUNK_ROWS = 8192   # rows held before a write: bounds its transient text
 _SCHEDULE_FORMAT = "%d,%d,%.9f,%.9f,%.9f,%.9f,%s,%s,%d\n"
 _schedule_row = attrgetter(*(f.name for f in fields(ScheduleEntry)))
 
@@ -84,10 +84,11 @@ def trace_bytes(rows: list[tuple]) -> bytes:
 
 
 class TraceWriter:
-    """Row sink for ``sim.run`` that streams the trace: every ``_CHUNK_ROWS``
-    rows it writes their text to ``fh`` and hands them to ``consume``, then
-    lets them go. Call ``flush`` once the run is over. The bytes equal
-    ``write_trace`` of the same rows."""
+    """Row sink for ``sim.run`` that streams the trace: ``extend`` takes a
+    batch of rows (``sim.run`` hands over one per step), and once at least
+    ``_CHUNK_ROWS`` rows are held it writes their text to ``fh`` and hands
+    them to ``consume``, then lets them go. Call ``flush`` once the run is
+    over. The bytes equal ``write_trace`` of the same rows."""
 
     def __init__(self, fh, consume) -> None:
         fh.write(TRACE_HEADER + "\n")
@@ -95,10 +96,10 @@ class TraceWriter:
         self._consume = consume
         self._rows: list[tuple] = []
 
-    def append(self, row: tuple) -> None:
-        rows = self._rows
-        rows.append(row)
-        if len(rows) == _CHUNK_ROWS:
+    def extend(self, rows: Iterable[tuple]) -> None:
+        held = self._rows
+        held += rows
+        if len(held) >= _CHUNK_ROWS:
             self.flush()
 
     def flush(self) -> None:
@@ -264,7 +265,8 @@ class MetricsAccumulator:
                 continue
             _, _, _, _, v, u, zone = st[1]
             st[2] += u * u * dt
-            st[3] += max(0.0, u * v) * dt
+            w = u * v
+            st[3] += (w if w > 0.0 else 0.0) * dt    # max(0.0, u * v)
             if zone:
                 dwell = st[4]
                 dwell[zone] = dwell.get(zone, 0) + 1

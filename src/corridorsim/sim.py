@@ -7,11 +7,14 @@ coordinators at control-zone entry, receive a merging time, and track the
 closed-form minimum-energy plan; outside control zones they fall back to
 the baseline follower with yielding disabled.
 
-Every step: spawn due arrivals, locate every vehicle once (zone windows,
-neighbour rows, control-zone entrants, which register in optimal mode),
-compute each control from that snapshot and emit its trace row, then
-integrate semi-implicitly (v first, then p with the new v). Time is always
-step * dt computed from the integer step, never accumulated.
+Every step: spawn due arrivals, locate every vehicle once (one bisect into
+its route's cells gives the zone windows, the speed limit and the limit
+drops ahead; neighbour rows, control-zone entrants, which register in
+optimal mode), compute each control from that snapshot and its trace row,
+then integrate semi-implicitly (v first, then p with the new v). The step's
+rows, controls first and then the rows of vehicles that left their route,
+reach the trace sink in one ``extend``. Time is always step * dt computed
+from the integer step, never accumulated.
 """
 
 from __future__ import annotations
@@ -126,32 +129,58 @@ class StepContext(NamedTuple):
     line_gap: Optional[float] = None                    # distance to the stop point
 
 
+# b if b > a else a is max(a, b) and b if b < a else a is min(a, b), signed
+# zeros and NaN included; each clamp below keeps its max/min's argument order
+
+
 def _idm_brake(v: float, params: BaselineParams, gap: float, dv: float) -> float:
     """Interaction term the IDM subtracts from the free-road acceleration."""
     a = params.max_accel
-    s_star = params.min_gap + v * params.headway \
+    min_gap = params.min_gap
+    s_star = min_gap + v * params.headway \
         + v * dv / (2.0 * math.sqrt(a * params.comfort_decel))
-    s_star = max(s_star, params.min_gap)
-    return a * (s_star / max(gap, 0.1)) ** 2
+    if min_gap > s_star:    # max(s_star, min_gap)
+        s_star = min_gap
+    return a * (s_star / (0.1 if 0.1 > gap else gap)) ** 2   # max(gap, 0.1)
 
 
 def baseline_step(vehicle: VehicleState, leader: Optional[VehicleState],
                   params: BaselineParams, ctx: StepContext) -> float:
     """Car-following acceleration for one step, clipped to the global bounds."""
     v = vehicle.v
-    u = free = params.max_accel * (1.0 - (v / max(ctx.v_des, 0.1)) ** params.speed_exponent)
+    v_des = ctx.v_des
+    u = free = params.max_accel * (1.0 - (v / (0.1 if 0.1 > v_des else v_des))
+                                   ** params.speed_exponent)
     if leader is not None:
-        u = min(u, free - _idm_brake(v, params, leader.s - vehicle.s, v - leader.v))
+        w = free - _idm_brake(v, params, leader.s - vehicle.s, v - leader.v)
+        if w < u:
+            u = w
     if ctx.projected is not None:
         gap, v_lead = ctx.projected
-        u = min(u, free - _idm_brake(v, params, gap, v - v_lead))
-    b = params.comfort_decel
-    for dist, lim in ctx.limit_cuts:
-        if v > lim + 1e-9 and dist <= (v * v - lim * lim) / (2.0 * b) + v * ctx.dt:
-            u = min(u, max(-b, (lim - v) / ctx.dt))
+        w = free - _idm_brake(v, params, gap, v - v_lead)
+        if w < u:
+            u = w
+    if ctx.limit_cuts:
+        b = params.comfort_decel
+        dt = ctx.dt
+        for dist, lim in ctx.limit_cuts:
+            if v > lim + 1e-9 and dist <= (v * v - lim * lim) / (2.0 * b) + v * dt:
+                w = (lim - v) / dt
+                if not w > -b:     # max(-b, w)
+                    w = -b
+                if w < u:
+                    u = w
     if ctx.yield_blocked and ctx.line_gap is not None:
-        u = min(u, free - _idm_brake(v, params, max(ctx.line_gap, 0.01), v))
-    return min(max(u, ctx.bounds.u_min), ctx.bounds.u_max)
+        gap = ctx.line_gap
+        w = free - _idm_brake(v, params, 0.01 if 0.01 > gap else gap, v)
+        if w < u:
+            u = w
+    bounds = ctx.bounds
+    u_min = bounds.u_min
+    if u_min > u:
+        u = u_min
+    u_max = bounds.u_max
+    return u_max if u_max < u else u
 
 
 def _time_to_cover(dist: float, v: float, accel: float, v_cap: float) -> float:
@@ -224,14 +253,21 @@ def optimal_step(vehicle: VehicleState, coeffs: TrajectoryCoefficients,
     reference the next step's position is checked against for drift.
     """
     tm = coeffs.tm
-    if t + dt <= tm + 1e-12:
-        p_target = p_plan = evaluate(coeffs, t + dt)[2]
+    t_next = t + dt
+    if t_next <= tm + 1e-12:
+        p_target = p_plan = evaluate(coeffs, t_next)[2]
     else:
         p_plan = evaluate(coeffs, tm)[2]
-        p_target = p_plan + v_hold * (t + dt - tm)
-    v_target = max((p_target - vehicle.s) / dt, 0.0)
+        p_target = p_plan + v_hold * (t_next - tm)
+    v_target = (p_target - vehicle.s) / dt
+    if 0.0 > v_target:      # max(v_target, 0.0)
+        v_target = 0.0
     u = (v_target - vehicle.v) / dt
-    u_clipped = min(max(u, bounds.u_min), bounds.u_max)
+    u_min = bounds.u_min
+    u_clipped = u_min if u_min > u else u
+    u_max = bounds.u_max
+    if u_max < u_clipped:
+        u_clipped = u_max
     return u_clipped, abs(u - u_clipped) > 1e-9, p_plan
 
 
@@ -287,8 +323,11 @@ class _Route:
 
     ``cells[bisect_right(edges, s)]`` is (zone column, the slots whose window
     -cz_length <= s - mz_start < mz_length holds s, the first slot whose
-    [cz_start, mz_start) holds s or None). Window ends are the least floats
-    at which each comparison turns, so the lookup matches it at every float.
+    [cz_start, mz_start) holds s or None, ``spec.limit_at(s)``, the index
+    ``bisect_right(cuts, (s, inf))`` of the first limit drop past s). Window
+    ends are the least floats at which each comparison turns, and every
+    segment join is an edge, so the lookup matches each comparison, the
+    limit and the cut index at every float.
     """
 
     def __init__(self, spec: RouteSpec, slots: list[_Slot]):
@@ -309,13 +348,16 @@ class _Route:
                      _least_float(lambda s: not s - mz < zone.mz_length, mz + zone.mz_length))
             wins.append((sl, frame, (ap.cz_start, ap.mz_start + zone.mz_length),
                          (ap.cz_start, ap.mz_start)))
-        self.edges = sorted({e for w in wins for lo_hi in w[1:] for e in lo_hi})
-        self.cells = [(0, (), None)]
-        for e in self.edges:
+        self.edges = sorted({e for w in wins for lo_hi in w[1:] for e in lo_hi}
+                            | {pos for pos, _ in bnds[1:]})
+        self.cells = []
+        for e in [-math.inf] + self.edges:     # each cell from its least float
             self.cells.append((
                 next((w[0].zone.index for w in wins if w[2][0] <= e < w[2][1]), 0),
                 tuple(w[0] for w in wins if w[1][0] <= e < w[1][1]),
-                next((w[0] for w in wins if w[3][0] <= e < w[3][1]), None)))
+                next((w[0] for w in wins if w[3][0] <= e < w[3][1]), None),
+                spec.limit_at(e),
+                bisect_right(self.cuts, (e, math.inf))))
 
 
 @dataclass(slots=True)
@@ -452,10 +494,10 @@ class Simulation:
                 sl.mz_v = [row[1] for row in mz]
         return located
 
-    def _context(self, rt: _Route, slot: Optional[_Slot], s: float, v: float,
+    def _context(self, rt: _Route, cell: tuple, slot: Optional[_Slot], s: float, v: float,
                  x: float, ahead: int, yielding: bool) -> StepContext:
-        i = bisect_right(rt.cuts, (s, math.inf))    # the cuts past s
-        cuts = tuple((pos - s, lim) for pos, lim in rt.cuts[i:]) if i < len(rt.cuts) else ()
+        i = cell[4]     # the first limit drop past s
+        cuts = tuple([(pos - s, lim) for pos, lim in rt.cuts[i:]]) if i < len(rt.cuts) else ()
         projected = None
         blocked = False
         line_gap = None
@@ -473,8 +515,7 @@ class Simulation:
                     blocked = self._conflict_blocked(v, x, slot)
             if blocked:
                 line_gap = slot.stop_at - s
-        return StepContext(rt.spec.limit_at(s), self.dt, self.bounds, cuts,
-                           projected, blocked, line_gap)
+        return StepContext(cell[3], self.dt, self.bounds, cuts, projected, blocked, line_gap)
 
     def _same_lane_blocked(self, v: float, x: float, others) -> bool:
         p = self.cfg.baseline
@@ -515,8 +556,6 @@ class Simulation:
         h_dt_sq = h_dt ** 2
         two_b = 2.0 * b
 
-        # b if b > a else a is max(a, b) and b if b < a else a is min(a, b),
-        # signed zeros included
         def ceiling(gap: float, v_f: float, v_lead: float, u_lead: float) -> float:
             v_lead_next = v_lead + u_lead * dt
             if 0.0 > v_lead_next:
@@ -535,12 +574,15 @@ class Simulation:
         optimal = self.cfg.mode == "optimal"
         n_steps = int(round(self.cfg.horizon / self.dt))
         ceiling = self._headway_ceiling()
+        sink = self.rows
         for step in range(n_steps):
             t = step * self.dt
             self._spawn_due(t)
             located = self._snapshot(t, optimal)
-            self._control(t, optimal, located, ceiling)
-            self._integrate((step + 1) * self.dt, optimal)
+            rows: list[tuple] = []
+            self._control(t, optimal, located, ceiling, rows)
+            self._integrate((step + 1) * self.dt, optimal, rows)
+            sink.extend(rows)
         schedule = sorted((e for coord in self.coordinators.values() for e in coord.history),
                           key=lambda e: (e.vehicle_id, e.zone))
         return SimResult(rows=self.rows, schedule=schedule, events=self.events,
@@ -548,18 +590,17 @@ class Simulation:
                          active_at_end=sum(len(rt.order) for rt in self.routes))
 
     def _control(self, t: float, optimal: bool, located: list[list[tuple]],
-                 ceiling) -> None:
+                 ceiling, rows: list[tuple]) -> None:
         """Every control from the snapshot, in route order, each followed by
-        its trace row. In optimal mode a headway governor caps the control
-        behind the route leader and behind the projected MZ peer (whose
-        control is unknown: full braking is assumed). It is meant to idle in
-        correctly scheduled traffic and bind only on degraded plans."""
+        its trace row in ``rows``. In optimal mode a headway governor caps
+        the control behind the route leader and behind the projected MZ peer
+        (whose control is unknown: full braking is assumed). It is meant to
+        idle in correctly scheduled traffic and bind only on degraded plans."""
         dt = self.dt
         bounds = self.bounds
         u_min, u_max = bounds.u_min, bounds.u_max
         params = self.cfg.baseline
         passages = self.passages
-        rows = self.rows
         events = self.events
         for rt, cells in zip(self.routes, located):
             name = rt.name
@@ -577,13 +618,16 @@ class Simulation:
                 passage = passages.get(vid) if optimal else None
                 if passage is None:
                     u = baseline_step(st, leader, params,
-                                      self._context(rt, slot, s, v, x, ahead, not optimal))
+                                      self._context(rt, cell, slot, s, v, x, ahead, not optimal))
                 elif passage.phase == "mz":
                     v_hold = passage.plan.v_hold
                     u = (v_hold - v) / dt
-                    u = min(max(u, u_min), u_max)
+                    if u_min > u:       # min(max(u, u_min), u_max)
+                        u = u_min
+                    if u_max < u:
+                        u = u_max
                     if v < 0.3 and v_hold < 0.3:
-                        u = min(u_max, 0.5)
+                        u = 0.5 if 0.5 < u_max else u_max     # min(u_max, 0.5)
                         events["mz_crawl_steps"] += 1
                 else:
                     if (passage.p_plan is not None and passage.plan.clean
@@ -599,20 +643,22 @@ class Simulation:
                     if leader is not None:
                         cap = ceiling(leader.s - s, v, leader.v, u_lead)
                     if ahead >= 0:
-                        cap = min(cap, ceiling(slot.mz_x[ahead] - x, v,
-                                               slot.mz_v[ahead], u_min))
+                        c = ceiling(slot.mz_x[ahead] - x, v, slot.mz_v[ahead], u_min)
+                        if c < cap:     # min(cap, c)
+                            cap = c
                     if u > cap:
                         events["governor_caps"] += 1
-                        u = max(cap, u_min)
+                        u = u_min if u_min > cap else cap     # max(cap, u_min)
                 st.u = u
                 rows.append((t, vid, name, s, v, u, cell[0]))
                 leader = st
                 u_lead = u
 
-    def _integrate(self, t_next: float, optimal: bool) -> None:
+    def _integrate(self, t_next: float, optimal: bool, rows: list[tuple]) -> None:
+        """Advance every vehicle one step; a vehicle that leaves its route
+        appends its terminal row at ``t_next`` to ``rows``."""
         dt = self.dt
         passages = self.passages
-        rows = self.rows
         for rt in self.routes:
             end = rt.end
             gone = False
@@ -643,5 +689,6 @@ class Simulation:
 
 def run(config: CorridorConfig, rows=None) -> SimResult:
     """Run one seeded simulation to the horizon. Trace rows go to ``rows``,
-    anything with an ``append`` (a new list when not given), in trace order."""
+    anything with an ``extend`` (a new list when not given): one call per
+    step with that step's rows in trace order."""
     return Simulation(config, rows).run()

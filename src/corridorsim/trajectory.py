@@ -159,21 +159,28 @@ def solve_unconstrained(bc: BoundaryConditions) -> TrajectoryCoefficients:
     return _single(bc, a, b)
 
 
-def _segment_at(coeffs: TrajectoryCoefficients, t: float) -> ArcSegment:
-    for seg in coeffs.segments:
-        if t <= seg.t_end + _TIME_EPS:
-            return seg
-    return coeffs.segments[-1]
-
-
 def evaluate(coeffs: TrajectoryCoefficients, t: float) -> tuple[float, float, float]:
     """Return (u, v, p) at absolute time t within [t0, tm]."""
-    if t < coeffs.t0 - _TIME_EPS or t > coeffs.tm + _TIME_EPS:
+    t0, tm = coeffs.t0, coeffs.tm
+    if t < t0 - _TIME_EPS or t > tm + _TIME_EPS:
         raise EvaluationWindowError(
-            f"t={t:.6f} outside plan window [{coeffs.t0:.6f}, {coeffs.tm:.6f}]")
-    t = min(max(t, coeffs.t0), coeffs.tm)
-    seg = _segment_at(coeffs, t)
-    tau = min(max(t - seg.t_start, 0.0), seg.span)
+            f"t={t:.6f} outside plan window [{t0:.6f}, {tm:.6f}]")
+    # the clamps are min(max(t, t0), tm) and min(max(tau, 0.0), span): b if
+    # b > a else a is max(a, b), b if b < a else a is min(a, b), signed
+    # zeros and NaN included
+    if t0 > t:
+        t = t0
+    if tm < t:
+        t = tm
+    for seg in coeffs.segments:   # the first arc ending at t or later, else the last
+        if t <= seg.t_end + _TIME_EPS:
+            break
+    tau = t - seg.t_start
+    if 0.0 > tau:
+        tau = 0.0
+    span = seg.span
+    if span < tau:
+        tau = span
     return seg.control(tau), seg.speed(tau), seg.position(tau)
 
 

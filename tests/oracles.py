@@ -13,10 +13,16 @@ The trace checks at the end are the list-based reference versions of
 hold every row, group them by time step and by vehicle, and walk each group.
 The program computes the same results in one pass; these stay as they were
 so that every result, its order and its floats can be compared with ``==``.
+
+Last come the step loop's arithmetic written with builtin ``min``/``max``
+(``evaluate``, ``optimal_step``, ``baseline_step``) and the trace text of a
+whole row list at once (``trace_text``): the program's plain clamps and its
+batched, chunked trace writer must give the same bits and bytes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -24,10 +30,12 @@ import numpy as np
 
 from corridorsim.coordinator import MzOccupancy, OccupancyInterval, occupancy_check
 from corridorsim.core import CorridorConfig
-from corridorsim.metrics import STOP_SPEED, Metrics
+from corridorsim.metrics import STOP_SPEED, TRACE_HEADER, Metrics
+from corridorsim.trajectory import EvaluationWindowError
 
 __all__ = ["DiscreteSolution", "solve_discrete", "solve_discrete_bounded",
-           "compute_metrics", "rear_end_check", "occupancy_from_trace"]
+           "compute_metrics", "rear_end_check", "occupancy_from_trace",
+           "evaluate", "optimal_step", "baseline_step", "trace_text"]
 
 
 @dataclass(frozen=True)
@@ -279,3 +287,71 @@ def occupancy_from_trace(rows: list[tuple], config: CorridorConfig,
         occ = MzOccupancy(zone=zone.index, intervals=intervals)
         conflicts.extend(occupancy_check(occ, tol=tol))
     return conflicts
+
+
+# ---------------------------------------------------------------------------
+# step-loop arithmetic with builtin min/max, and the trace text in one piece
+
+_TIME_EPS = 1e-9
+_ROW_FORMAT = "%.3f,%d,%s,%.9f,%.9f,%.9f,%d\n"
+
+
+def trace_text(rows: list[tuple]) -> str:
+    """The trace file's text, each row formatted whole."""
+    return TRACE_HEADER + "\n" + "".join(_ROW_FORMAT % row for row in rows)
+
+
+def _segment_at(coeffs, t: float):
+    for seg in coeffs.segments:
+        if t <= seg.t_end + _TIME_EPS:
+            return seg
+    return coeffs.segments[-1]
+
+
+def evaluate(coeffs, t: float) -> tuple[float, float, float]:
+    if t < coeffs.t0 - _TIME_EPS or t > coeffs.tm + _TIME_EPS:
+        raise EvaluationWindowError(
+            f"t={t:.6f} outside plan window [{coeffs.t0:.6f}, {coeffs.tm:.6f}]")
+    t = min(max(t, coeffs.t0), coeffs.tm)
+    seg = _segment_at(coeffs, t)
+    tau = min(max(t - seg.t_start, 0.0), seg.span)
+    return seg.control(tau), seg.speed(tau), seg.position(tau)
+
+
+def optimal_step(vehicle, coeffs, t: float, dt: float, bounds,
+                 v_hold: float) -> tuple[float, bool, float]:
+    tm = coeffs.tm
+    if t + dt <= tm + 1e-12:
+        p_target = p_plan = evaluate(coeffs, t + dt)[2]
+    else:
+        p_plan = evaluate(coeffs, tm)[2]
+        p_target = p_plan + v_hold * (t + dt - tm)
+    v_target = max((p_target - vehicle.s) / dt, 0.0)
+    u = (v_target - vehicle.v) / dt
+    u_clipped = min(max(u, bounds.u_min), bounds.u_max)
+    return u_clipped, abs(u - u_clipped) > 1e-9, p_plan
+
+
+def _idm_brake(v: float, params, gap: float, dv: float) -> float:
+    a = params.max_accel
+    s_star = params.min_gap + v * params.headway \
+        + v * dv / (2.0 * math.sqrt(a * params.comfort_decel))
+    s_star = max(s_star, params.min_gap)
+    return a * (s_star / max(gap, 0.1)) ** 2
+
+
+def baseline_step(vehicle, leader, params, ctx) -> float:
+    v = vehicle.v
+    u = free = params.max_accel * (1.0 - (v / max(ctx.v_des, 0.1)) ** params.speed_exponent)
+    if leader is not None:
+        u = min(u, free - _idm_brake(v, params, leader.s - vehicle.s, v - leader.v))
+    if ctx.projected is not None:
+        gap, v_lead = ctx.projected
+        u = min(u, free - _idm_brake(v, params, gap, v - v_lead))
+    b = params.comfort_decel
+    for dist, lim in ctx.limit_cuts:
+        if v > lim + 1e-9 and dist <= (v * v - lim * lim) / (2.0 * b) + v * ctx.dt:
+            u = min(u, max(-b, (lim - v) / ctx.dt))
+    if ctx.yield_blocked and ctx.line_gap is not None:
+        u = min(u, free - _idm_brake(v, params, max(ctx.line_gap, 0.01), v))
+    return min(max(u, ctx.bounds.u_min), ctx.bounds.u_max)

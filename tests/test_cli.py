@@ -79,6 +79,25 @@ def test_verify_rejects_missing_and_malformed(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb", ["run", "verify", "bench"])
+@pytest.mark.parametrize("config", ["missing", "invalid"])
+def test_unreadable_config_exits_2(tmp_path, capsys, verb, config):
+    # 1 means violations found (verify) or DIVERGED (bench); bad input is 2
+    path = tmp_path / "config.yaml"
+    if config == "invalid":
+        path.write_text("horizon: soon\n")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,id,route,s,v,u,zone\n")
+    argv = {"run": ["run", "--config", str(path), "--out", str(tmp_path / "out")],
+            "verify": ["verify", "--config", str(path), str(trace)],
+            "bench": ["bench", "--config", str(path), "--trace", str(trace)]}[verb]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture()
 def short_trace(tmp_path):
     """Trace and schedule of the bench geometry cut to 12 s of data time."""

@@ -288,20 +288,24 @@ def test_route_cells_match_window_comparisons(cfg):
     for rt in sim.Simulation(cfg).routes:
         bindings = cfg.zones_on(rt.name)
         probes = rng.uniform(-10.0, rt.spec.length + 10.0, 2000).tolist()
-        for zone, ap in bindings:
-            for edge in (ap.cz_start, ap.mz_start, ap.mz_start + zone.mz_length):
-                s = edge - 4 * math.ulp(edge)
-                for _ in range(9):
-                    probes.append(s)
-                    s = math.nextafter(s, math.inf)
+        edges = [edge for zone, ap in bindings
+                 for edge in (ap.cz_start, ap.mz_start, ap.mz_start + zone.mz_length)]
+        edges += [end for end, _ in rt.spec.limit_boundaries()[1:]] + [rt.spec.length]
+        for edge in edges:
+            s = edge - 4 * math.ulp(edge)
+            for _ in range(9):
+                probes.append(s)
+                s = math.nextafter(s, math.inf)
         for s in probes:
-            column, frames, entrant = rt.cells[bisect.bisect_right(rt.edges, s)]
+            column, frames, entrant, limit, cut = rt.cells[bisect.bisect_right(rt.edges, s)]
             assert column == next((z.index for z, ap in bindings
                                    if ap.cz_start <= s < ap.mz_start + z.mz_length), 0)
             assert [sl.zone.index for sl in frames] == [
                 z.index for z, ap in bindings if -z.cz_length <= s - ap.mz_start < z.mz_length]
             assert (entrant and entrant.zone.index) == next(
                 (z.index for z, ap in bindings if ap.cz_start <= s < ap.mz_start), None)
+            assert limit == rt.spec.limit_at(s)
+            assert cut == bisect.bisect_right(rt.cuts, (s, math.inf))
 
 
 def test_different_seed_changes_the_trace():

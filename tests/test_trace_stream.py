@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import gc
 import io
+import math
 import tracemalloc
 
 import pytest
@@ -135,6 +136,74 @@ def test_edge_cases_equal_the_oracles(tmp_path, monkeypatch):
     back = metrics.read_trace(str(trace))
     assert back == rows
     assert _verify(monkeypatch, TABLE1, str(trace)) == (rear, lateral)
+
+
+def _text_rows():
+    """Rows whose text is easy to get wrong: 0.0 next to -0.0 (equal, yet
+    printed apart), equal times held in distinct float objects, NaN and
+    infinite values."""
+    zero, neg = 0.0, -0.0
+    nan, inf = float("nan"), float("inf")
+    t1, t2 = float("0.3"), float("0.3")
+    assert t1 is not t2
+    return [(zero, 1, "main", 1.0, 2.0, 0.5, 0), (neg, 2, "main", 3.0, 2.0, -0.0, 0),
+            (zero, 3, "highway", 0.0, 0.0, 0.0, 1), (neg, 4, "ring", -0.0, 0.0, 0.25, 3),
+            (t1, 1, "main", 1.2, 2.0, 0.5, 0), (t2, 2, "main", 3.2, 2.0, 0.0, 0),
+            (t2, 3, "highway", 0.0, 0.0, 0.0, 1), (t1, 4, "ring", 0.0, 0.0, 0.25, 3),
+            (nan, 1, "main", nan, inf, -inf, 0), (nan, 2, "main", 3.0, nan, 0.0, 0),
+            (float("nan"), 3, "highway", 0.0, 0.0, nan, 1)]
+
+
+def _stepped_rows(n):
+    """n rows of 40 vehicles, one float object for the time of each step as
+    ``sim.run`` makes it; every seventh step a vehicle leaves with a terminal
+    row stamped with the next step's time, computed apart, as ``sim.run``
+    does too."""
+    rows, step = [], 0
+    while len(rows) < n:
+        t = step * 0.1
+        rows += [(t, vid, "main", vid * 30.0 + step * 0.7, 7.0 + vid * 0.01, 0.1 - vid * 0.01,
+                  vid % 4) for vid in range(1, 41)]
+        if step % 7 == 6:
+            rows.append(((step + 1) * 0.1, 1000 + step, "ring", 365.0, 5.0, 0.0, 0))
+        step += 1
+    return rows[:n]
+
+
+def _canon(value):
+    """A value ``==`` compares in full: dicts as sorted items, NaN as a string."""
+    if isinstance(value, dict):
+        return sorted((k, _canon(v)) for k, v in value.items())
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return value
+
+
+@pytest.mark.parametrize("batch", [1, 8191, 8193])
+def test_batched_trace_text_equals_the_reference(batch):
+    cfg = load_config_file(TABLE1)
+    rows = _text_rows() + _stepped_rows(3 * metrics._CHUNK_ROWS) + _text_rows()
+    want = oracles.trace_text(rows)
+    assert metrics.trace_bytes(rows) == want.encode()
+    assert "\n-0.000,2,main," in want and "\nnan,1,main,nan,inf,-inf," in want
+
+    fh = io.StringIO()
+    acc = metrics.MetricsAccumulator(cfg)
+    chunks = []
+
+    def consume(chunk):
+        chunks.append(len(chunk))
+        acc.add(chunk)
+
+    sink = metrics.TraceWriter(fh, consume)
+    for i in range(0, len(rows), batch):
+        sink.extend(rows[i:i + batch])
+    sink.flush()
+    assert fh.getvalue() == want
+    assert sum(chunks) == len(rows) and len(chunks) > 1
+    assert max(chunks) < metrics._CHUNK_ROWS + batch
+    got = dataclasses.asdict(acc.result())
+    assert _canon(got) == _canon(dataclasses.asdict(oracles.compute_metrics(rows, cfg)))
 
 
 ROWS = "".join(f"{k / 10:.3f},{vid},main,{100.0 * vid + k:.9f},10.000000000,0.000000000,0\n"
