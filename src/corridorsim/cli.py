@@ -28,7 +28,7 @@ from corridorsim.metrics import (
     Metrics,
     MetricsAccumulator,
     OccupancyRows,
-    TraceWriter,
+    TraceSink,
     iter_trace,
     occupancy_from_trace,
     read_schedule,
@@ -45,13 +45,25 @@ log = logging.getLogger("corridorsim")
 
 
 def _parse_seeds(text: str | None, default: int) -> list[int]:
-    """'3' -> [3]; '1,4,9' -> [1,4,9]; '1..10' -> [1..10]; None -> [default]."""
+    """'3' -> [3]; '1,4,9' -> [1,4,9]; '1..10' -> [1..10]; None -> [default].
+    A list that names no seed (``5..1``, ``,``) or holds anything but a
+    non-negative integer is bad input, which exits 2 with the error on
+    stderr."""
     if not text:
         return [default]
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        seeds = []
+    if not seeds or min(seeds) < 0:
+        print(f"error: --seeds {text!r} is not a seed, a comma list or a range "
+              "lo..hi with 0 <= lo <= hi", file=sys.stderr)
+        raise SystemExit(2)
+    return seeds
 
 
 def _load(path: str) -> CorridorConfig:
@@ -77,13 +89,14 @@ def _run_one(cfg: CorridorConfig, mode: str, seed: int, out: str) -> Metrics:
     run_cfg = dataclasses.replace(cfg, mode=mode, seed=seed)
     tag = f"{mode}_{seed}"
     metrics = MetricsAccumulator(run_cfg, mode=mode, seed=seed)
-    with open(os.path.join(out, f"trace_{tag}.csv"), "w", newline="") as fh:
-        sink = TraceWriter(fh, metrics.add)
+    # the trace opens before the writer forks, so a bad --out raises here
+    with open(os.path.join(out, f"trace_{tag}.csv"), "w", newline="") as fh, \
+            TraceSink(fh, metrics) as sink:
         result = sim.run(run_cfg, sink)
-        sink.flush()
+        run_metrics = sink.close()
     write_schedule(os.path.join(out, f"schedule_{tag}.csv"), result.schedule)
     write_events(os.path.join(out, f"events_{tag}.json"), result.events)
-    return metrics.result()
+    return run_metrics
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import csv
 import json
+import marshal
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import chain, groupby
@@ -35,6 +37,7 @@ __all__ = [
     "TRACE_HEADER",
     "write_trace",
     "TraceWriter",
+    "TraceSink",
     "read_steps",
     "iter_trace",
     "read_trace",
@@ -108,6 +111,145 @@ class TraceWriter:
             self._fh.write(_rows_text(rows))
             self._consume(rows)
             self._rows = []
+
+
+def _writer_process_helps() -> bool:
+    """Whether a forked writer can run beside the simulation: this process
+    may run on two CPUs or more. Where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing the writer stays in-process."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _write_all(out, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[out.write(view):]
+
+
+class TraceSink:
+    """Row sink for ``sim.run`` that writes the trace to ``fh`` and folds it
+    into ``metrics`` through one ``TraceWriter(fh, metrics.add)``; ``close``
+    ends the run and returns the ``Metrics``. ``fh`` must hold nothing yet.
+
+    Where this process may run on a second CPU, that writer runs in a
+    forked process, so the text and the fold overlap the simulation:
+    ``extend`` holds rows and sends each ``_CHUNK_ROWS`` of them down a pipe
+    as a length-prefixed ``marshal`` record, and the writer replies with its
+    fold, which ``metrics`` takes over. Otherwise it runs in this process.
+    The bytes written and the fold are the same either way, and
+    ``metrics.result()`` makes the ``Metrics`` in this process.
+
+    Use it as a context manager: leaving the block kills and reaps a writer
+    that ``close`` has not ended, whatever the block raised."""
+
+    def __init__(self, fh, metrics: MetricsAccumulator) -> None:
+        self.pid = 0    # the writer process until it is reaped
+        self._rows: list[tuple] = []
+        self._metrics = metrics
+        if not _writer_process_helps():
+            self._writer = TraceWriter(fh, metrics.add)
+            self._send = self._writer.extend
+            return
+        self._writer = None
+        rows_r, rows_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(rows_w)
+            os.close(reply_r)
+            _writer_process(rows_r, reply_w, fh, metrics)   # never returns
+        os.close(rows_r)
+        os.close(reply_w)
+        self.pid = pid
+        self._out = open(rows_w, "wb", buffering=0)
+        self._reply = open(reply_r, "rb")
+        self._send = self._send_chunk
+
+    def extend(self, rows: Iterable[tuple]) -> None:
+        held = self._rows
+        held += rows
+        if len(held) >= _CHUNK_ROWS:
+            self._send(held)
+            self._rows = []
+
+    def _send_chunk(self, rows: list[tuple]) -> None:
+        data = marshal.dumps(rows)
+        try:
+            _write_all(self._out, len(data).to_bytes(8, "little") + data)
+        except BrokenPipeError:     # the writer is gone
+            raise _writer_error(self._reap()) from None
+
+    def close(self) -> Metrics:
+        if self._rows:
+            self._send(self._rows)
+            self._rows = []
+        if self._writer is not None:
+            self._writer.flush()
+        else:
+            self._out.close()     # the end of the rows: the writer finishes and replies
+            reply = self._reply.read()
+            self._reply.close()
+            code = self._reap()
+            if code:
+                raise _writer_error(code)
+            import pickle
+            self._metrics._vehicles = pickle.loads(reply)
+        return self._metrics.result()
+
+    def _reap(self) -> int:
+        """Wait for the writer; its exit code, or minus the signal that
+        killed it."""
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        return os.waitstatus_to_exitcode(status)
+
+    def __enter__(self) -> TraceSink:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._writer is not None:
+            return
+        if self.pid:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        self._out.close()
+        self._reply.close()
+
+
+def _writer_error(code: int) -> RuntimeError:
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    return RuntimeError(f"trace writer process {how} before the trace was written")
+
+
+def _writer_process(rows_fd: int, reply_fd: int, fh, metrics: MetricsAccumulator) -> None:
+    """The body of ``TraceSink``'s forked writer: ``TraceWriter(fh,
+    metrics.add)`` over the chunks read from ``rows_fd`` until it closes,
+    then the pickled fold of ``metrics`` to ``reply_fd``. It ends in
+    ``os._exit`` on every path, with status 0 only once the reply is
+    written, so it never returns into the caller's stack or flushes a buffer
+    it inherited."""
+    code = 1
+    try:
+        import gc
+        gc.disable()    # a collection could run finalizers of the parent's objects
+        writer = TraceWriter(fh, metrics.add)
+        with open(rows_fd, "rb") as rows:
+            while head := rows.read(8):
+                size = int.from_bytes(head, "little")
+                data = rows.read(size)
+                if len(head) < 8 or len(data) < size:
+                    return      # cut off mid-chunk: the parent is gone
+                writer.extend(marshal.loads(data))
+        writer.flush()
+        fh.flush()
+        import pickle
+        with open(reply_fd, "wb") as reply:
+            reply.write(pickle.dumps(metrics._vehicles))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _row_error(path: str, line_no: int, line: bytes, t_prev: float) -> str:

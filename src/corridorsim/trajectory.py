@@ -162,7 +162,7 @@ def solve_unconstrained(bc: BoundaryConditions) -> TrajectoryCoefficients:
 def evaluate(coeffs: TrajectoryCoefficients, t: float) -> tuple[float, float, float]:
     """Return (u, v, p) at absolute time t within [t0, tm]."""
     t0, tm = coeffs.t0, coeffs.tm
-    if t < t0 - _TIME_EPS or t > tm + _TIME_EPS:
+    if not (t0 - _TIME_EPS <= t <= tm + _TIME_EPS):   # a NaN time is outside too
         raise EvaluationWindowError(
             f"t={t:.6f} outside plan window [{t0:.6f}, {tm:.6f}]")
     # the clamps are min(max(t, t0), tm) and min(max(tau, 0.0), span): b if

@@ -17,6 +17,18 @@ def test_seed_list_parsing():
     assert _parse_seeds("1..5", 7) == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("seeds", ["5..1", ",", "x", "1,x", "1..x", "..", " , ", "-1", "-2..1"])
+def test_bad_seed_list_exits_2(tmp_path, capsys, seeds):
+    # a list that names no seed, or a negative one, is bad input, as an
+    # unreadable config is
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", BENCH, f"--seeds={seeds}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: --seeds ")
+    assert not out.exists()
+
+
 def test_address_parsing():
     assert _address("127.0.0.1:7700") == ("127.0.0.1", 7700)
     assert _address(":9000") == ("127.0.0.1", 9000)

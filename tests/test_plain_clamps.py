@@ -1,7 +1,9 @@
 """The step loop's plain clamps give the bits the builtin ``min``/``max``
 gave: ``evaluate``, ``optimal_step`` and ``baseline_step`` against their
 references in ``oracles``, on random plans and states, at the plan window's
-ends and arc joints, with signed zeros and NaN."""
+ends and arc joints, with signed zeros and NaN. A NaN time is the one
+probe where they part: ``evaluate`` raises ``EvaluationWindowError``, as
+for any time outside the window, where the reference returned NaN."""
 
 import math
 import random
@@ -79,6 +81,10 @@ def test_evaluate_matches_min_max_reference(arcs):
     for _ in range(300):
         coeffs = random_plan(rng, arcs)
         for t in probe_times(rng, coeffs):
+            if math.isnan(t):   # outside every window; the reference passes it through
+                with pytest.raises(EvaluationWindowError):
+                    evaluate(coeffs, t)
+                continue
             assert same(outcome(evaluate, coeffs, t), outcome(oracles.evaluate, coeffs, t)), t
 
 
@@ -91,6 +97,8 @@ def test_evaluate_raises_outside_the_window():
                 evaluate(coeffs, t)
             with pytest.raises(EvaluationWindowError):
                 oracles.evaluate(coeffs, t)
+        with pytest.raises(EvaluationWindowError):
+            evaluate(coeffs, NAN)
 
 
 def test_evaluate_keeps_signed_zeros():

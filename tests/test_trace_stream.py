@@ -8,6 +8,8 @@ import dataclasses
 import gc
 import io
 import math
+import os
+import signal
 import tracemalloc
 
 import pytest
@@ -204,6 +206,134 @@ def test_batched_trace_text_equals_the_reference(batch):
     assert max(chunks) < metrics._CHUNK_ROWS + batch
     got = dataclasses.asdict(acc.result())
     assert _canon(got) == _canon(dataclasses.asdict(oracles.compute_metrics(rows, cfg)))
+
+
+# ---------------------------------------------------------------------------
+# the writer process: ``run`` hands its rows to a forked writer where it may
+# use two CPUs, and writes the same bytes and metrics as in one process
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the processes forked during the test. The host shows two
+    CPUs, so ``run`` takes the writer-process path on any host."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    _cpus(monkeypatch, 2)
+    return pids
+
+
+def _reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail a block that hangs, instead of hanging the suite."""
+    def expired(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("cfg,mode,seed", _runs())
+def test_writer_process_writes_what_one_process_writes(tmp_path, monkeypatch, forks,
+                                                       cfg, mode, seed):
+    got = {}
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus_{cpus}"
+        out.mkdir()
+        m = cli._run_one(cfg, mode, seed, str(out))
+        got[cpus] = m, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(forks) == 1    # the two-CPU run only
+    _reaped(forks[0])
+    assert list(got[1][1]) == [f"{kind}_{mode}_{seed}.{ext}" for kind, ext in
+                               (("events", "json"), ("schedule", "csv"), ("trace", "csv"))]
+    assert got[2] == got[1]
+
+
+def test_writer_process_text_equals_the_reference(tmp_path, forks):
+    cfg = load_config_file(TABLE1)
+    rows = _text_rows() + _stepped_rows(2 * metrics._CHUNK_ROWS) + _text_rows()
+    trace = tmp_path / "trace.csv"
+    acc = metrics.MetricsAccumulator(cfg)
+    with open(trace, "w", newline="") as fh, metrics.TraceSink(fh, acc) as sink:
+        assert sink.pid == forks[0]
+        for i in range(0, len(rows), 41):
+            sink.extend(rows[i:i + 41])
+        got = sink.close()
+    _reaped(forks[0])
+    assert trace.read_bytes() == oracles.trace_text(rows).encode()
+    want = oracles.compute_metrics(rows, cfg)
+    assert _canon(dataclasses.asdict(got)) == _canon(dataclasses.asdict(want))
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", [_Boom, KeyboardInterrupt])
+def test_run_error_propagates_and_reaps_the_writer(tmp_path, monkeypatch, forks, kind):
+    raised = kind("mid-run")
+
+    def run(cfg, sink):
+        sink.extend(_stepped_rows(metrics._CHUNK_ROWS + 1))   # one chunk sent, one row held
+        raise raised
+
+    monkeypatch.setattr(sim, "run", run)
+    with _deadline(60), pytest.raises(kind) as exc:
+        cli._run_one(load_config_file(BENCH), "optimal", 1, str(tmp_path))
+    assert exc.value is raised
+    assert len(forks) == 1
+    _reaped(forks[0])
+
+
+@pytest.mark.parametrize("when", ["first-chunk", "reply"])
+def test_killed_writer_fails_the_run(tmp_path, monkeypatch, forks, when):
+    run_sim = sim.run
+
+    def run(cfg, sink):
+        # killed before the first chunk is sent, or once every row is sent
+        # and before the end of the rows asks for the reply
+        if when == "first-chunk":
+            os.kill(sink.pid, signal.SIGKILL)
+        result = run_sim(cfg, sink)
+        if when == "reply":
+            os.kill(sink.pid, signal.SIGKILL)
+        return result
+
+    monkeypatch.setattr(sim, "run", run)
+    with _deadline(60), pytest.raises(RuntimeError,
+                                      match="trace writer process was killed by signal 9"):
+        cli._run_one(load_config_file(BENCH), "optimal", 1, str(tmp_path))
+    assert len(forks) == 1
+    _reaped(forks[0])
+
+
+def test_bad_out_raises_before_the_fork(tmp_path, forks):
+    with pytest.raises(FileNotFoundError):
+        cli._run_one(load_config_file(BENCH), "optimal", 1, str(tmp_path / "missing"))
+    assert forks == []
 
 
 ROWS = "".join(f"{k / 10:.3f},{vid},main,{100.0 * vid + k:.9f},10.000000000,0.000000000,0\n"
