@@ -15,6 +15,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import os
@@ -86,16 +87,33 @@ def _address(text: str) -> tuple[str, int]:
 
 
 def _run_one(cfg: CorridorConfig, mode: str, seed: int, out: str) -> Metrics:
+    """One simulation's trace, schedule and events in ``out``. The trace is
+    written as ``trace_<tag>.csv.part`` and renamed last, so a run that
+    fails or is interrupted leaves no file of its tag."""
     run_cfg = dataclasses.replace(cfg, mode=mode, seed=seed)
     tag = f"{mode}_{seed}"
-    metrics = MetricsAccumulator(run_cfg, mode=mode, seed=seed)
-    # the trace opens before the writer forks, so a bad --out raises here
-    with open(os.path.join(out, f"trace_{tag}.csv"), "w", newline="") as fh, \
-            TraceSink(fh, metrics) as sink:
-        result = sim.run(run_cfg, sink)
-        run_metrics = sink.close()
-    write_schedule(os.path.join(out, f"schedule_{tag}.csv"), result.schedule)
-    write_events(os.path.join(out, f"events_{tag}.json"), result.events)
+    trace, schedule, events = (os.path.join(out, name) for name in (
+        f"trace_{tag}.csv", f"schedule_{tag}.csv", f"events_{tag}.json"))
+    partial = trace + ".part"
+
+    def remove_tag() -> None:
+        for path in (trace, partial, schedule, events):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+
+    remove_tag()
+    try:
+        # the trace opens before the writer forks, so a bad --out raises here
+        with open(partial, "w", newline="") as fh, \
+                TraceSink(fh, MetricsAccumulator(run_cfg)) as sink:
+            result = sim.run(run_cfg, sink)
+            run_metrics = sink.close()
+        write_schedule(schedule, result.schedule)
+        write_events(events, result.events)
+        os.replace(partial, trace)
+    except BaseException:
+        remove_tag()
+        raise
     return run_metrics
 
 
@@ -147,6 +165,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # bench
 
 
+BENCH_TOLERANCE = 1e-6   # m/s a socket command may differ from the twin's
+
+
 class _BadInput(Exception):
     """A trace row or frame that ``bench`` cannot read or encode."""
 
@@ -182,9 +203,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     # the twin runs first: its pass reads the whole trace, so a bad row is
     # reported before any socket opens
-    twin_core = HeadUnitCore(cfg, route=args.route, stale_after=args.stale_after)
+    twin_core = HeadUnitCore(cfg)
     try:
-        twin_cmds = list(command_stream(twin_frames(), twin_core, args.tick_rate))
+        twin_cmds = list(command_stream(twin_frames(), twin_core))
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -193,9 +214,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 2
 
     broker = Broker(port=args.port, drop_prob=args.drop_prob).start()
-    core = HeadUnitCore(cfg, route=args.route, stale_after=args.stale_after)
-    stream = run_over_socket(broker.address, core, rate=args.tick_rate,
-                             idle_timeout=args.idle_timeout)
+    core = HeadUnitCore(cfg)
+    stream = run_over_socket(broker.address, core, idle_timeout=args.idle_timeout)
     socket_cmds: list[tuple[float, float]] = []
     received_at: deque[float] = deque(maxlen=2)
 
@@ -233,7 +253,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"decode errors:       {core.decode_errors}")
     print(f"stale ticks:         {core.stale_ticks}")
     print(f"replans:             {core.replans} ({core.clamped_plans} clamped)")
-    if worst > args.tolerance or len(socket_cmds) > len(twin_cmds):
+    if worst > BENCH_TOLERANCE or len(socket_cmds) > len(twin_cmds):
         print("DIVERGED")
         return 1
     if len(socket_cmds) < len(twin_cmds):
@@ -262,6 +282,9 @@ def cmd_broker(args: argparse.Namespace) -> int:
         pass
     finally:
         broker.stop()
+    counts = broker.counters()
+    print(f"broker: {counts['published']} published, {counts['delivered']} "
+          f"delivered, {counts['dropped']} dropped", flush=True)
     return 0
 
 
@@ -283,12 +306,11 @@ def cmd_headunit(args: argparse.Namespace) -> int:
     from corridorsim.v2x.headunit import HeadUnitCore, run_over_socket
 
     cfg = _load(args.config)
-    core = HeadUnitCore(cfg, route=args.route, stale_after=args.stale_after)
+    core = HeadUnitCore(cfg)
     sink = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     try:
         sink.write("t,command\n")
         for t, v in run_over_socket(_address(args.address), core,
-                                    rate=args.tick_rate,
                                     idle_timeout=args.idle_timeout):
             sink.write(f"{t:.3f},{v:.9f}\n")
             sink.flush()
@@ -297,8 +319,9 @@ def cmd_headunit(args: argparse.Namespace) -> int:
     finally:
         if sink is not sys.stdout:
             sink.close()
-    print(f"decode errors: {core.decode_errors}, stale ticks: {core.stale_ticks}",
-          file=sys.stderr)
+    print(f"decode errors: {core.decode_errors}, stale ticks: {core.stale_ticks}, "
+          f"replans: {core.replans} ({core.clamped_plans} clamped), "
+          f"SPaT frames: {core.spat_frames}", file=sys.stderr)
     return 0
 
 
@@ -327,15 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--schedule")
-    p.add_argument("--route", help="ego route (default: config main route)")
     p.add_argument("--rate", type=float, default=0.0,
                    help="publish pacing in frames/s; 0 floods (default)")
-    p.add_argument("--tick-rate", type=float, default=100.0)
-    p.add_argument("--stale-after", type=float, default=1.0)
     p.add_argument("--idle-timeout", type=float, default=2.0)
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--drop-prob", type=float, default=0.0)
-    p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--out", help="write the socket command stream as CSV")
     p.set_defaults(func=cmd_bench)
 
@@ -357,9 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("headunit", help="stream speed commands from a broker")
     p.add_argument("--config", required=True)
     p.add_argument("--address", default="127.0.0.1:7700")
-    p.add_argument("--route")
-    p.add_argument("--tick-rate", type=float, default=100.0)
-    p.add_argument("--stale-after", type=float, default=1.0)
     p.add_argument("--idle-timeout", type=float, default=2.0)
     p.add_argument("--out", help="command CSV path, - for stdout")
     p.set_defaults(func=cmd_headunit)

@@ -86,8 +86,7 @@ class ConflictPair:
 
 def merging_time(t0: float, v0: float, dist: float,
                  prev: Optional[tuple[float, float]], same_lane: bool,
-                 mz_length: float, bounds: Bounds,
-                 headway: float = 1.2) -> tuple[float, bool]:
+                 mz_length: float, bounds: Bounds, headway: float) -> tuple[float, bool]:
     """Absolute merging time for a vehicle ``dist`` before the MZ line at
     (t0, v0), and whether the kinematic ceiling truncated its gap term.
 
@@ -145,13 +144,12 @@ class ZoneCoordinator:
     it; ``_by_id`` holds the entries still queued, in FIFO order.
     """
 
-    def __init__(self, zone: ConflictZoneSpec, bounds: Bounds, headway: float = 1.2):
+    def __init__(self, zone: ConflictZoneSpec, bounds: Bounds, headway: float):
         self.zone = zone
         self.bounds = bounds
         self.headway = headway
         self.history: list[ScheduleEntry] = []
         self._by_id: dict[int, ScheduleEntry] = {}
-        self.truncation_count = 0
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -188,7 +186,6 @@ class ZoneCoordinator:
             relation == RELATION_SAME_LANE, self.zone.mz_length,
             self.bounds, self.headway)
         if truncated:
-            self.truncation_count += 1
             log.warning("zone %d: gap term for vehicle %d truncated by the "
                         "kinematic ceiling; rear-end spacing not guaranteed",
                         self.zone.index, vehicle_id)

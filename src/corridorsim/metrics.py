@@ -36,7 +36,6 @@ from corridorsim.core import CorridorConfig
 __all__ = [
     "TRACE_HEADER",
     "write_trace",
-    "TraceWriter",
     "TraceSink",
     "read_steps",
     "iter_trace",
@@ -86,31 +85,10 @@ def trace_bytes(rows: list[tuple]) -> bytes:
     return "".join(_trace_text(rows)).encode()
 
 
-class TraceWriter:
-    """Row sink for ``sim.run`` that streams the trace: ``extend`` takes a
-    batch of rows (``sim.run`` hands over one per step), and once at least
-    ``_CHUNK_ROWS`` rows are held it writes their text to ``fh`` and hands
-    them to ``consume``, then lets them go. Call ``flush`` once the run is
-    over. The bytes equal ``write_trace`` of the same rows."""
-
-    def __init__(self, fh, consume) -> None:
-        fh.write(TRACE_HEADER + "\n")
-        self._fh = fh
-        self._consume = consume
-        self._rows: list[tuple] = []
-
-    def extend(self, rows: Iterable[tuple]) -> None:
-        held = self._rows
-        held += rows
-        if len(held) >= _CHUNK_ROWS:
-            self.flush()
-
-    def flush(self) -> None:
-        rows = self._rows
-        if rows:
-            self._fh.write(_rows_text(rows))
-            self._consume(rows)
-            self._rows = []
+def _write_rows(fh, rows: list[tuple], consume) -> None:
+    """Write the text of ``rows`` to ``fh``, then hand them to ``consume``."""
+    fh.write(_rows_text(rows))
+    consume(rows)
 
 
 def _writer_process_helps() -> bool:
@@ -128,17 +106,19 @@ def _write_all(out, data: bytes) -> None:
 
 
 class TraceSink:
-    """Row sink for ``sim.run`` that writes the trace to ``fh`` and folds it
-    into ``metrics`` through one ``TraceWriter(fh, metrics.add)``; ``close``
-    ends the run and returns the ``Metrics``. ``fh`` must hold nothing yet.
+    """Row sink for ``sim.run`` that streams the trace: it writes the rows
+    to ``fh`` and folds them into ``metrics``; ``close`` ends the run and
+    returns the ``Metrics``. ``fh`` must hold nothing yet; the process that
+    writes the rows writes the header too. ``extend`` takes a batch of rows
+    (``sim.run`` hands over one per step) into the one buffer, and each
+    ``_CHUNK_ROWS`` of them go to ``_write_rows(fh, rows, metrics.add)``.
 
-    Where this process may run on a second CPU, that writer runs in a
-    forked process, so the text and the fold overlap the simulation:
-    ``extend`` holds rows and sends each ``_CHUNK_ROWS`` of them down a pipe
-    as a length-prefixed ``marshal`` record, and the writer replies with its
-    fold, which ``metrics`` takes over. Otherwise it runs in this process.
-    The bytes written and the fold are the same either way, and
-    ``metrics.result()`` makes the ``Metrics`` in this process.
+    Where this process may run on a second CPU, that write runs in a forked
+    process, so the text and the fold overlap the simulation: each chunk
+    goes down a pipe as a length-prefixed ``marshal`` record, and the writer
+    replies with its fold, which ``metrics`` takes over. Otherwise it runs
+    in this process. The bytes written and the fold are the same either
+    way, and ``metrics.result()`` makes the ``Metrics`` in this process.
 
     Use it as a context manager: leaving the block kills and reaps a writer
     that ``close`` has not ended, whatever the block raised."""
@@ -147,11 +127,11 @@ class TraceSink:
         self.pid = 0    # the writer process until it is reaped
         self._rows: list[tuple] = []
         self._metrics = metrics
+        self._out = None    # the pipe to the writer process, if one runs
         if not _writer_process_helps():
-            self._writer = TraceWriter(fh, metrics.add)
-            self._send = self._writer.extend
+            fh.write(TRACE_HEADER + "\n")
+            self._send = lambda rows: _write_rows(fh, rows, metrics.add)
             return
-        self._writer = None
         rows_r, rows_w = os.pipe()
         reply_r, reply_w = os.pipe()
         pid = os.fork()
@@ -184,9 +164,7 @@ class TraceSink:
         if self._rows:
             self._send(self._rows)
             self._rows = []
-        if self._writer is not None:
-            self._writer.flush()
-        else:
+        if self._out is not None:
             self._out.close()     # the end of the rows: the writer finishes and replies
             reply = self._reply.read()
             self._reply.close()
@@ -208,7 +186,7 @@ class TraceSink:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._writer is not None:
+        if self._out is None:
             return
         if self.pid:
             import signal
@@ -224,25 +202,24 @@ def _writer_error(code: int) -> RuntimeError:
 
 
 def _writer_process(rows_fd: int, reply_fd: int, fh, metrics: MetricsAccumulator) -> None:
-    """The body of ``TraceSink``'s forked writer: ``TraceWriter(fh,
-    metrics.add)`` over the chunks read from ``rows_fd`` until it closes,
-    then the pickled fold of ``metrics`` to ``reply_fd``. It ends in
-    ``os._exit`` on every path, with status 0 only once the reply is
-    written, so it never returns into the caller's stack or flushes a buffer
-    it inherited."""
+    """The body of ``TraceSink``'s forked writer: the header, then
+    ``_write_rows(fh, chunk, metrics.add)`` for each chunk read from
+    ``rows_fd`` until it closes, then the pickled fold of ``metrics`` to
+    ``reply_fd``. It ends in ``os._exit`` on every path, with status 0 only
+    once the reply is written, so it never returns into the caller's stack
+    or flushes a buffer it inherited."""
     code = 1
     try:
         import gc
         gc.disable()    # a collection could run finalizers of the parent's objects
-        writer = TraceWriter(fh, metrics.add)
+        fh.write(TRACE_HEADER + "\n")
         with open(rows_fd, "rb") as rows:
             while head := rows.read(8):
                 size = int.from_bytes(head, "little")
                 data = rows.read(size)
                 if len(head) < 8 or len(data) < size:
                     return      # cut off mid-chunk: the parent is gone
-                writer.extend(marshal.loads(data))
-        writer.flush()
+                _write_rows(fh, marshal.loads(data), metrics.add)
         fh.flush()
         import pickle
         with open(reply_fd, "wb") as reply:
@@ -387,10 +364,8 @@ class MetricsAccumulator:
     as many calls as it likes, and keeps a few numbers per vehicle, not its
     rows; ``result`` gives the ``Metrics``."""
 
-    def __init__(self, config: CorridorConfig, mode: str = "", seed: int = -1) -> None:
+    def __init__(self, config: CorridorConfig) -> None:
         self.config = config
-        self.mode = mode or config.mode
-        self.seed = seed if seed >= 0 else config.seed
         # vehicle id -> [first row, last row, effort, work, zone -> steps
         # inside, stops, last row below STOP_SPEED]; effort, work and dwell
         # take a row once a later one shows it was not the vehicle's last
@@ -421,7 +396,7 @@ class MetricsAccumulator:
     def result(self) -> Metrics:
         config = self.config
         dt = config.dt
-        m = Metrics(mode=self.mode, seed=self.seed)
+        m = Metrics(mode=config.mode, seed=config.seed)
         lengths = {r.name: r.length for r in config.routes}
         zone_samples: dict[int, list[float]] = defaultdict(list)
         corridor_samples: list[float] = []
@@ -453,9 +428,8 @@ class MetricsAccumulator:
         return m
 
 
-def compute_metrics(rows: Iterable[tuple], config: CorridorConfig,
-                    mode: str = "", seed: int = -1) -> Metrics:
-    acc = MetricsAccumulator(config, mode, seed)
+def compute_metrics(rows: Iterable[tuple], config: CorridorConfig) -> Metrics:
+    acc = MetricsAccumulator(config)
     acc.add(rows)
     return acc.result()
 

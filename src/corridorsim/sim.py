@@ -64,6 +64,7 @@ TM_RELAX_STEP = 0.1
 TM_RELAX_LIMIT = 50
 REANCHOR_TOLERANCE = 0.3   # m of tracking drift before a replan
 MIN_SCHED_SPEED = 0.5      # floor for the scheduling speed of a crawling entrant
+MIN_MERGE_SPEED = 0.05     # floor for a merging speed held or booked through the MZ
 YIELD_CROSS_MARGIN = 1.0   # s added to the kinematic crossing time at a yield line
 LINE_SETBACK = 0.2         # m short of the merging-zone line a yielder stops
 GOVERNOR_MARGIN = 0.01     # m kept above the headway envelope by the governor
@@ -237,7 +238,8 @@ def plan_merge(p0: float, v0: float, t0: float, p_mz: float, zone: ConflictZoneS
             pass
         except InfeasibleHorizonError as exc:
             coeffs = exc.partial
-    return MergePlan(coeffs, tm, max(terminal_speed(coeffs), 0.05), relaxations, clean)
+    v_hold = max(terminal_speed(coeffs), MIN_MERGE_SPEED)
+    return MergePlan(coeffs, tm, v_hold, relaxations, clean)
 
 
 def optimal_step(vehicle: VehicleState, coeffs: TrajectoryCoefficients,

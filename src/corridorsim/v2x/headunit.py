@@ -1,7 +1,7 @@
 """On-board head unit: plans ego speed commands from received safety messages.
 
-The unit models one ghost vehicle driving a configured route alongside the
-broadcast traffic.  Each tick it
+The unit models one ghost vehicle driving the configured main route alongside
+the broadcast traffic.  Each tick it
 
 1. integrates ego distance at the last commanded speed,
 2. locates the current coordination zone from hard-coded route geometry,
@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 from corridorsim.coordinator import merging_time
 from corridorsim.core import Approach, ConflictZoneSpec, CorridorConfig
-from corridorsim.sim import MIN_SCHED_SPEED, MergePlan, plan_merge
+from corridorsim.sim import MIN_MERGE_SPEED, MIN_SCHED_SPEED, MergePlan, plan_merge
 # solve_bounded is unused here; benchmarks/layers.py patches this name
 from corridorsim.trajectory import evaluate, solve_bounded  # noqa: F401
 from corridorsim.v2x.broker import BrokerClient
@@ -56,10 +56,9 @@ class HeadUnitCore:
     timestamps; every tick returns the speed command in m/s.
     """
 
-    def __init__(self, config: CorridorConfig, route: str | None = None,
-                 stale_after: float = 1.0):
+    def __init__(self, config: CorridorConfig, stale_after: float = 1.0):
         self.cfg = config
-        self.route = config.route(route or config.main_route)
+        self.route = config.route(config.main_route)
         self.zones = config.zones_on(self.route.name)
         self.bounds = config.bounds
         self.headway = config.headway
@@ -198,7 +197,7 @@ class HeadUnitCore:
         # same-lane one
         tm, _ = merging_time(
             t, max(self.v_cmd, MIN_SCHED_SPEED), max(ap.mz_start - self.dist, 1e-6),
-            None if leader is None else (leader.tm_s, max(leader.speed_mps, 0.05)),
+            None if leader is None else (leader.tm_s, max(leader.speed_mps, MIN_MERGE_SPEED)),
             zone.shared_lane, zone.mz_length, self.bounds, self.headway)
         plan = plan_merge(self.dist, self.v_cmd, t, ap.mz_start, zone, tm, self.bounds)
         if not plan.clean:
@@ -254,23 +253,22 @@ def socket_frames(client: BrokerClient, core: HeadUnitCore,
 
 
 def run_over_socket(address: tuple[str, int], core: HeadUnitCore,
-                    rate: float = 100.0, idle_timeout: float = 2.0,
-                    topics: Iterable[str] = BSM_TOPICS,
-                    ) -> Iterator[tuple[float, float]]:
-    """Subscribe, then stream (t, command) until the feed goes quiet.
+                    idle_timeout: float = 2.0) -> Iterator[tuple[float, float]]:
+    """Subscribe to every BSM topic, then stream (t, command) at 100 ticks
+    per second of data time until the feed goes quiet.
 
     Subscriptions are sent before this returns (the broker keeps no
     history, so they must land before the publisher starts).
     """
     client = BrokerClient(address)
-    for topic in topics:
+    for topic in BSM_TOPICS:
         client.subscribe(topic)
     client.sync()
 
     def _stream():
         try:
             yield from command_stream(
-                socket_frames(client, core, idle_timeout), core, rate)
+                socket_frames(client, core, idle_timeout), core)
         finally:
             client.close()
 

@@ -142,10 +142,9 @@ def _per_vehicle(rows: list[tuple]) -> dict[int, list[tuple]]:
     return by_vehicle
 
 
-def compute_metrics(rows: list[tuple], config: CorridorConfig,
-                    mode: str = "", seed: int = -1) -> Metrics:
+def compute_metrics(rows: list[tuple], config: CorridorConfig) -> Metrics:
     dt = config.dt
-    m = Metrics(mode=mode or config.mode, seed=seed if seed >= 0 else config.seed)
+    m = Metrics(mode=config.mode, seed=config.seed)
     lengths = {r.name: r.length for r in config.routes}
     zone_samples: dict[int, list[float]] = defaultdict(list)
     corridor_samples: list[float] = []

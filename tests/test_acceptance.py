@@ -177,7 +177,7 @@ def test_criterion_3_schedules_and_traces_are_conflict_free():
             registrations += 1
         for coord in coords.values():
             conflict_pairs += len(occupancy_check(coord.occupancy))
-            truncations += coord.truncation_count
+            truncations += sum(e.truncated for e in coord.history)
 
     rear = 0
     lateral = 0
@@ -213,8 +213,7 @@ def test_criterion_4_coordinated_mode_wins_where_expected():
         for seed in range(1, 11):
             run_cfg = dataclasses.replace(base_cfg, mode=mode, seed=seed)
             result = sim.run(run_cfg)
-            runs[mode].append(compute_metrics(result.rows, run_cfg,
-                                              mode=mode, seed=seed))
+            runs[mode].append(compute_metrics(result.rows, run_cfg))
     sums = {mode: summarize(m) for mode, m in runs.items()}
     corridor_b = sums["baseline"]["corridor_time"][0]
     corridor_o = sums["optimal"]["corridor_time"][0]
@@ -263,7 +262,7 @@ def test_criterion_5_single_vehicle_parity():
     for mode in ("baseline", "optimal"):
         run_cfg = dataclasses.replace(cfg, mode=mode)
         result = sim.run(run_cfg)
-        metrics = compute_metrics(result.rows, run_cfg, mode=mode, seed=cfg.seed)
+        metrics = compute_metrics(result.rows, run_cfg)
         assert metrics.completed == 1, f"probe did not finish in {mode} mode"
         times[mode] = metrics.corridor_time
     rel = abs(times["optimal"] - times["baseline"]) / times["baseline"]
@@ -362,8 +361,7 @@ def test_criterion_7_socket_path_equals_in_process_twin():
     broker = Broker(port=0).start()
     try:
         core_net = HeadUnitCore(cfg)
-        stream = run_over_socket(broker.address, core_net, rate=100.0,
-                                 idle_timeout=1.5)
+        stream = run_over_socket(broker.address, core_net, idle_timeout=1.5)
         got: list[tuple[float, float]] = []
         consumer = threading.Thread(target=lambda: got.extend(stream))
         consumer.start()
@@ -394,8 +392,7 @@ def test_criterion_8_bitwise_determinism():
     digests = []
     for _ in range(2):
         result = sim.run(cfg)
-        metrics = compute_metrics(result.rows, cfg, mode=cfg.mode,
-                                  seed=cfg.seed)
+        metrics = compute_metrics(result.rows, cfg)
         report = render_report(cfg, {cfg.mode: [metrics]})
         payload = hashlib.sha256()
         payload.update(trace_bytes(result.rows))

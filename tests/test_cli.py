@@ -188,6 +188,49 @@ def test_bench_reports_bad_input_but_not_planner_errors(tmp_path, capsys,
         main(["bench", "--config", BENCH, "--trace", trace, "--schedule", sched])
 
 
+def test_headunit_verb_prints_its_counters(tmp_path, capsys):
+    import dataclasses
+    import threading
+    import time
+
+    from corridorsim import sim
+    from corridorsim.core import load_config_file
+    from corridorsim.v2x.broker import Broker, BrokerClient
+    from corridorsim.v2x.bsm import BSM_TOPICS, MSG_SPAT, decode_bsm, encode_bsm
+    from corridorsim.v2x.headunit import HeadUnitCore, command_stream
+    from corridorsim.v2x.replay import frames_from_trace
+
+    cfg = load_config_file(BENCH)
+    res = sim.run(dataclasses.replace(cfg, horizon=30.0, seed=6))   # the ego reaches zone 1
+    frames = list(frames_from_trace(res.rows, cfg, res.schedule))
+    frames += [frames[-1]._replace(msg_id=MSG_SPAT)] * 2   # phase markers, at the last time
+    twin = HeadUnitCore(cfg)
+    list(command_stream((decode_bsm(encode_bsm(f)) for f in frames), twin))
+    assert twin.replans > 0
+
+    rc = []
+    with Broker(port=0) as broker:
+        host, port = broker.address
+        verb = threading.Thread(target=lambda: rc.append(main(
+            ["headunit", "--config", BENCH, "--address", f"{host}:{port}",
+             "--idle-timeout", "1.0", "--out", str(tmp_path / "commands.csv")])))
+        verb.start()
+        deadline = time.monotonic() + 30.0
+        while broker.counters()["published"] == 0:   # the verb's sync: it has subscribed
+            assert time.monotonic() < deadline, "headunit verb never subscribed"
+            time.sleep(0.01)
+        messages = [(BSM_TOPICS[f.cz], encode_bsm(f)) for f in frames]
+        messages.append((BSM_TOPICS[0], b"not a frame"))
+        with BrokerClient(broker.address) as client:
+            client.publish_many(messages)
+        verb.join(timeout=60.0)
+        assert not verb.is_alive()
+    assert rc == [0]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"decode errors: 1, stale ticks: {twin.stale_ticks}, replans: {twin.replans} "
+        f"({twin.clamped_plans} clamped), SPaT frames: 2")
+
+
 def test_console_help_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "corridorsim.cli", "--help"],

@@ -166,7 +166,7 @@ def test_truncation_counted(caplog):
     coord.set_terminal_speed(1, 1.6)   # 30 m at 1.6 m/s: 18.75 s gap term
     with caplog.at_level("WARNING"):
         coord.register_arrival(2, t0=0.0, v0=10.0, lane="lane_a")
-    assert coord.truncation_count == 1
+    assert sum(e.truncated for e in coord.history) == 1
     assert coord.entry(2).truncated
 
 

@@ -225,8 +225,7 @@ def test_socket_and_twin_streams_match(cfg):
     broker = Broker(port=0).start()
     try:
         core_net = HeadUnitCore(run_cfg)
-        stream = run_over_socket(broker.address, core_net, rate=100.0,
-                                 idle_timeout=1.0)
+        stream = run_over_socket(broker.address, core_net, idle_timeout=1.0)
         got: list[tuple[float, float]] = []
         consumer = threading.Thread(target=lambda: got.extend(stream))
         consumer.start()

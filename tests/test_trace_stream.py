@@ -70,9 +70,9 @@ def test_streamed_run_and_verify_equal_the_oracles(tmp_path, monkeypatch, cfg, m
     rows = sim.run(run_cfg).rows
     _assert_checks_equal_oracles(rows, run_cfg)
 
-    # run: the trace streamed through TraceWriter, metrics from its chunks
+    # run: the trace streamed through TraceSink, metrics from its chunks
     got = cli._run_one(cfg, mode, seed, str(tmp_path))
-    assert got == oracles.compute_metrics(rows, run_cfg, mode=mode, seed=seed)
+    assert got == oracles.compute_metrics(rows, run_cfg)
     trace = tmp_path / f"trace_{mode}_{seed}.csv"
     assert trace.read_bytes() == metrics.trace_bytes(rows)
 
@@ -181,33 +181,6 @@ def _canon(value):
     return value
 
 
-@pytest.mark.parametrize("batch", [1, 8191, 8193])
-def test_batched_trace_text_equals_the_reference(batch):
-    cfg = load_config_file(TABLE1)
-    rows = _text_rows() + _stepped_rows(3 * metrics._CHUNK_ROWS) + _text_rows()
-    want = oracles.trace_text(rows)
-    assert metrics.trace_bytes(rows) == want.encode()
-    assert "\n-0.000,2,main," in want and "\nnan,1,main,nan,inf,-inf," in want
-
-    fh = io.StringIO()
-    acc = metrics.MetricsAccumulator(cfg)
-    chunks = []
-
-    def consume(chunk):
-        chunks.append(len(chunk))
-        acc.add(chunk)
-
-    sink = metrics.TraceWriter(fh, consume)
-    for i in range(0, len(rows), batch):
-        sink.extend(rows[i:i + batch])
-    sink.flush()
-    assert fh.getvalue() == want
-    assert sum(chunks) == len(rows) and len(chunks) > 1
-    assert max(chunks) < metrics._CHUNK_ROWS + batch
-    got = dataclasses.asdict(acc.result())
-    assert _canon(got) == _canon(dataclasses.asdict(oracles.compute_metrics(rows, cfg)))
-
-
 # ---------------------------------------------------------------------------
 # the writer process: ``run`` hands its rows to a forked writer where it may
 # use two CPUs, and writes the same bytes and metrics as in one process
@@ -272,6 +245,39 @@ def test_writer_process_writes_what_one_process_writes(tmp_path, monkeypatch, fo
     assert got[2] == got[1]
 
 
+@pytest.mark.parametrize("batch", [1, 8191, 8193])
+def test_batched_trace_text_equals_the_reference(tmp_path, monkeypatch, forks, batch):
+    cfg = load_config_file(TABLE1)
+    rows = _text_rows() + _stepped_rows(3 * metrics._CHUNK_ROWS) + _text_rows()
+    want = oracles.trace_text(rows)
+    assert metrics.trace_bytes(rows) == want.encode()
+    assert "\n-0.000,2,main," in want and "\nnan,1,main,nan,inf,-inf," in want
+    want_metrics = _canon(dataclasses.asdict(oracles.compute_metrics(rows, cfg)))
+
+    for cpus in (1, 2):     # the sink's two paths: in-process, then a writer process
+        _cpus(monkeypatch, cpus)
+        trace = tmp_path / f"trace_{cpus}.csv"
+        chunks = []
+        with open(trace, "w", newline="") as fh, \
+                metrics.TraceSink(fh, metrics.MetricsAccumulator(cfg)) as sink:
+            send = sink._send
+
+            def spy(chunk, send=send):
+                chunks.append(len(chunk))
+                send(chunk)
+
+            sink._send = spy
+            for i in range(0, len(rows), batch):
+                sink.extend(rows[i:i + batch])
+            got = sink.close()
+        assert len(forks) == cpus - 1
+        assert trace.read_bytes() == want.encode()
+        assert sum(chunks) == len(rows) and len(chunks) > 1
+        assert max(chunks) < metrics._CHUNK_ROWS + batch
+        assert _canon(dataclasses.asdict(got)) == want_metrics
+    _reaped(forks[0])
+
+
 def test_writer_process_text_equals_the_reference(tmp_path, forks):
     cfg = load_config_file(TABLE1)
     rows = _text_rows() + _stepped_rows(2 * metrics._CHUNK_ROWS) + _text_rows()
@@ -292,20 +298,36 @@ class _Boom(Exception):
     pass
 
 
+def _stale_outputs(out):
+    """Files an earlier run left in ``out``: all of tag optimal_1, which the
+    next run of that tag replaces, and the trace of another tag."""
+    for name in ("trace_optimal_1.csv", "schedule_optimal_1.csv", "events_optimal_1.json",
+                 "trace_optimal_2.csv"):
+        (out / name).write_text("stale\n")
+
+
+def _left(out):
+    return sorted(p.name for p in out.iterdir())
+
+
 @pytest.mark.parametrize("kind", [_Boom, KeyboardInterrupt])
 def test_run_error_propagates_and_reaps_the_writer(tmp_path, monkeypatch, forks, kind):
     raised = kind("mid-run")
 
     def run(cfg, sink):
+        # the stale files of the tag are gone before the run starts
+        assert _left(tmp_path) == ["trace_optimal_1.csv.part", "trace_optimal_2.csv"]
         sink.extend(_stepped_rows(metrics._CHUNK_ROWS + 1))   # one chunk sent, one row held
         raise raised
 
     monkeypatch.setattr(sim, "run", run)
+    _stale_outputs(tmp_path)
     with _deadline(60), pytest.raises(kind) as exc:
         cli._run_one(load_config_file(BENCH), "optimal", 1, str(tmp_path))
     assert exc.value is raised
     assert len(forks) == 1
     _reaped(forks[0])
+    assert _left(tmp_path) == ["trace_optimal_2.csv"]   # no file of the failed tag
 
 
 @pytest.mark.parametrize("when", ["first-chunk", "reply"])
@@ -323,11 +345,13 @@ def test_killed_writer_fails_the_run(tmp_path, monkeypatch, forks, when):
         return result
 
     monkeypatch.setattr(sim, "run", run)
+    _stale_outputs(tmp_path)
     with _deadline(60), pytest.raises(RuntimeError,
                                       match="trace writer process was killed by signal 9"):
         cli._run_one(load_config_file(BENCH), "optimal", 1, str(tmp_path))
     assert len(forks) == 1
     _reaped(forks[0])
+    assert _left(tmp_path) == ["trace_optimal_2.csv"]   # no file of the failed tag
 
 
 def test_bad_out_raises_before_the_fork(tmp_path, forks):
