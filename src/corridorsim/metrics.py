@@ -637,7 +637,9 @@ def _fmt(pair: tuple[float, float]) -> str:
 
 def render_report(config: CorridorConfig, by_mode: dict[str, list[Metrics]]) -> str:
     """Plain-text comparison table. With both modes present, adds the
-    improvement column (positive = optimal better)."""
+    improvement column: optimal's change relative to the baseline in each
+    row's better direction (lower times, effort, work and stops; more
+    vehicles completed), so positive = optimal better."""
     zone_names = {z.index: f"zone {z.index} ({z.kind})" for z in config.zones}
     have_both = "baseline" in by_mode and "optimal" in by_mode
     sums = {mode: summarize(runs) for mode, runs in by_mode.items()}
@@ -652,7 +654,7 @@ def render_report(config: CorridorConfig, by_mode: dict[str, list[Metrics]]) -> 
         header += f"{'improvement':>14}"
     lines.append(header)
 
-    def row(label, key, zone=None):
+    def row(label, key, zone=None, better="lower"):
         line = f"{label:<34}"
         vals = {}
         for mode in sorted(by_mode):
@@ -663,7 +665,8 @@ def render_report(config: CorridorConfig, by_mode: dict[str, list[Metrics]]) -> 
         if have_both:
             b, o = vals["baseline"][0], vals["optimal"][0]
             if not math.isnan(b) and not math.isnan(o) and b:
-                line += f"{(b - o) / b * 100.0:>13.1f}%"
+                gain = (b - o) / b if better == "lower" else (o - b) / b
+                line += f"{gain * 100.0:>13.1f}%"
             else:
                 line += f"{'n/a':>14}"
         lines.append(line)
@@ -674,5 +677,5 @@ def render_report(config: CorridorConfig, by_mode: dict[str, list[Metrics]]) -> 
     row("control effort [m^2/s^3]", "mean_effort")
     row("positive work [m^2/s^2]", "mean_work")
     row("stops per vehicle", "mean_stops")
-    row("vehicles completed", "completed")
+    row("vehicles completed", "completed", better="higher")
     return "\n".join(lines) + "\n"

@@ -42,6 +42,7 @@ from corridorsim.trajectory import (
     InfeasibleHorizonError,
     TrajectoryCoefficients,
     evaluate,
+    horizon_edges,
     solve_bounded,
     terminal_speed,
 )
@@ -60,8 +61,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-TM_RELAX_STEP = 0.1
-TM_RELAX_LIMIT = 50
 REANCHOR_TOLERANCE = 0.3   # m of tracking drift before a replan
 MIN_SCHED_SPEED = 0.5      # floor for the scheduling speed of a crawling entrant
 MIN_MERGE_SPEED = 0.05     # floor for a merging speed held or booked through the MZ
@@ -203,43 +202,57 @@ def _time_to_cover(dist: float, v: float, accel: float, v_cap: float) -> float:
 
 class MergePlan(NamedTuple):
     """A minimum-energy plan to the MZ line: ``tm`` is the merging time it
-    meets after ``relaxations`` relaxations of the booked one, ``v_hold`` the
-    speed held through the MZ. ``clean`` is False when relaxation ran out and
-    ``coeffs`` is the last attempt's partial plan, whose control clamps."""
+    meets, the least one at or after the booked time that has a clean plan,
+    and ``v_hold`` the speed held through the MZ. ``clean`` is False when no
+    horizon at or after the booked one has a clean plan: ``tm`` is then the
+    booked time and ``coeffs`` its partial plan, whose control clamps."""
 
     coeffs: TrajectoryCoefficients
     tm: float
     v_hold: float
-    relaxations: int
     clean: bool
 
 
 def plan_merge(p0: float, v0: float, t0: float, p_mz: float, zone: ConflictZoneSpec,
                tm: float, bounds: Bounds) -> MergePlan:
-    """Plan from (p0, v0) at t0 to the MZ line p_mz at the booked merging
-    time tm, adding TM_RELAX_STEP to tm until a clean plan exists, at most
-    TM_RELAX_LIMIT times. The terminal speed is the zone's ``mz_speed`` or
-    free, by its terminal rule. Out of relaxations, the last ``partial`` plan
-    is returned: every relaxed horizon is well above the degenerate limit,
-    and ``solve_bounded`` attaches a partial to every InfeasibleHorizonError
-    it raises."""
+    """Plan from (p0, v0) at t0 to the MZ line p_mz at the least merging
+    time at or after the booked tm at which ``solve_bounded`` returns a
+    clean plan. The terminal speed is the zone's ``mz_speed`` or free, by
+    its terminal rule.
+
+    ``horizon_edges`` cuts the later horizons into spans on each of which
+    the solve is clean everywhere or nowhere. One solve inside each span,
+    in ascending order, finds the first clean one; its lower edge is
+    snapped to the least float at which the solve is clean. When no span is
+    clean, the plan is ``solve_bounded``'s partial at tm itself. (A booked
+    horizon too short to pose has no partial; it takes the first span's.)"""
     vt = zone.mz_speed if zone.terminal_rule == "mz_speed" else None
-    coeffs = None
-    clean = False
-    for relaxations in range(TM_RELAX_LIMIT + 1):
-        if relaxations:
-            tm += TM_RELAX_STEP
+
+    def attempt(tm: float) -> tuple[Optional[TrajectoryCoefficients], bool]:
+        """The plan at merging time tm and whether it is clean; the partial
+        plan, or None for a horizon too short to pose, when it is not."""
         bc = BoundaryConditions(p0=p0, v0=v0, t0=t0, p_mz=p_mz, tm=tm, terminal_speed=vt)
         try:
-            coeffs = solve_bounded(bc, bounds)
-            clean = True
-            break
+            return solve_bounded(bc, bounds), True
         except DegenerateHorizonError:
-            pass
+            return None, False
         except InfeasibleHorizonError as exc:
-            coeffs = exc.partial
+            return exc.partial, False
+
+    coeffs, clean = attempt(tm)
+    if not clean:
+        starts = [tm] + [t0 + e for e in horizon_edges(p0, v0, p_mz, vt, bounds) if t0 + e > tm]
+        for start, end in zip(starts, starts[1:] + [starts[-1] + 2.0]):
+            probe = 0.5 * (start + end)
+            partial, clean = attempt(probe)
+            if clean:   # not clean at the span before, so the walk stays in this one
+                tm = _least_float(lambda s: attempt(s)[1], start)
+                coeffs = attempt(tm)[0]
+                break
+            if coeffs is None:
+                coeffs, tm = partial, probe
     v_hold = max(terminal_speed(coeffs), MIN_MERGE_SPEED)
-    return MergePlan(coeffs, tm, v_hold, relaxations, clean)
+    return MergePlan(coeffs, tm, v_hold, clean)
 
 
 def optimal_step(vehicle: VehicleState, coeffs: TrajectoryCoefficients,
@@ -368,7 +381,7 @@ class _Passage:
 
     slot: _Slot
     phase: str                        # cz | mz
-    plan: Optional[MergePlan] = None  # not clean: relaxation gave up, drift is expected
+    plan: Optional[MergePlan] = None  # not clean: a clamped partial, drift is expected
     p_plan: Optional[float] = None    # plan position now; None right after planning
 
 
@@ -441,13 +454,13 @@ class Simulation:
         vid, zone = state.vehicle_id, passage.slot.zone
         plan = passage.plan = plan_merge(state.s, state.v, t, passage.slot.ap.mz_start,
                                          zone, entry.tm, self.bounds)
-        if plan.relaxations:
+        if plan.tm != entry.tm:
             coord.adjust_merging_time(vid, plan.tm)
-            self.events["tm_relaxations"] += plan.relaxations
+            self.events["tm_relaxations"] += 1
         if not plan.clean:
             self.events["relax_exhausted"] += 1
-            log.warning("vehicle %d zone %d: no clean plan after %d relaxations; "
-                        "executing with control clamped", vid, zone.index, TM_RELAX_LIMIT)
+            log.warning("vehicle %d zone %d: no clean plan at or after the booked "
+                        "merging time; executing with control clamped", vid, zone.index)
         coord.set_terminal_speed(vid, plan.v_hold)
 
     def _replan(self, state: VehicleState, passage: _Passage, t: float) -> None:

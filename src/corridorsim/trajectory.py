@@ -28,6 +28,7 @@ __all__ = [
     "evaluate",
     "check_feasibility",
     "solve_with_speed_arc",
+    "horizon_edges",
     "solve_bounded",
     "control_effort",
     "terminal_speed",
@@ -52,8 +53,9 @@ class InfeasibleHorizonError(ValueError):
     be adjusted upstream.
 
     ``partial`` carries the best-effort plan found before giving up, when
-    one exists, so a caller out of relaxation budget can execute it with
-    the control clamped rather than having nothing at all.
+    one exists. A planner that finds no clean horizon at or after the booked
+    merging time executes the partial at the booked time, with the control
+    clamped, rather than having nothing at all.
     """
 
     def __init__(self, msg: str, partial: "TrajectoryCoefficients | None" = None):
@@ -324,6 +326,71 @@ def solve_with_speed_arc(bc: BoundaryConditions, bounds: Bounds,
     exit_arc = ArcSegment(ARC_UNCONSTRAINED, bc.tm - t3, bc.tm,
                           a3, 0.0, v_b, bc.p0 + d_entry + d_cruise)
     return TrajectoryCoefficients(bc.t0, bc.tm, (entry, cruise, exit_arc))
+
+
+def _roots(qa: float, qb: float, qc: float) -> list[float]:
+    """Real roots of qa*x^2 + qb*x + qc, qa != 0, without cancellation."""
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return []
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    return [q / qa] + ([qc / q] if q != 0.0 else [])
+
+
+def horizon_edges(p0: float, v0: float, p_mz: float, terminal_speed: Optional[float],
+                  bounds: Bounds, tol: float = 1e-9) -> list[float]:
+    """Horizons T, ascending, at which ``solve_bounded`` from (p0, v0) to
+    p_mz may turn clean or unclean: between two neighbours, and past the
+    last, it is clean at every horizon or at none.
+
+    Each edge is a closed-form root in T of one bound, widened by the
+    feasibility check's ``tol``. On the unconstrained shape u at each end is
+    quadratic in T: with a fixed terminal speed vt, u(t0) <= u_max holds
+    where u_max*T^2 + (4*v0 + 2*vt)*T - 6*D >= 0, with a free one where
+    u_max*T^2 + 3*v0*T - 3*D >= 0. On a cruise shape every arc span is
+    3*(D - v_b*T)/sigma for a constant sigma, so the horizons at which an
+    arc's end control meets a bound are linear in T. Where the unconstrained
+    speed just touches v_b, the cruise shape that takes over is the same
+    plan, so the verdict does not turn there.
+    """
+    d = p_mz - p0
+    vt = terminal_speed
+    u_lims = (bounds.u_max + tol, bounds.u_min - tol)
+    edges = [_MIN_HORIZON]
+    # unconstrained shape: u at each end
+    for u in u_lims:
+        if vt is None:
+            edges += _roots(u, 3.0 * v0, -3.0 * d)
+        else:
+            edges += _roots(u, 4.0 * v0 + 2.0 * vt, -6.0 * d) \
+                + _roots(u, -(4.0 * vt + 2.0 * v0), 6.0 * d)
+    # cruise shapes: arc spans 3*(D - v_b*T)/sigma, as solve_with_speed_arc
+    # lays them out
+    for v_b in (bounds.v_max, bounds.v_min):
+        if not v_b:
+            continue    # the spans do not move with T
+        off0 = v0 - v_b
+        off_t = None if vt is None else vt - v_b
+        entry_flat = abs(off0) < _SPEED_EPS
+        exit_flat = off_t is None or abs(off_t) < _SPEED_EPS
+        if entry_flat and exit_flat:    # cruise only, within _POS_TOL of the line
+            edges += [(d - _POS_TOL) / v_b, (d + _POS_TOL) / v_b]
+            continue
+        if entry_flat:
+            arcs = [(off_t, off_t)]                 # (sigma, speed change) per arc
+        elif exit_flat:
+            arcs = [(off0, off0)]
+        elif off_t / off0 < 0.0:
+            continue    # never pieced
+        else:
+            k = math.sqrt(off_t / off0)
+            sigma = off0 + k * off_t
+            arcs = [(sigma, off0), (sigma / k, off_t)]
+        # the spans at which an arc's end control, 2*dv/span in size, meets
+        # a control bound
+        edges += [(3.0 * d - 2.0 * abs(dv / u) * sigma) / (3.0 * v_b)
+                  for sigma, dv in arcs for u in u_lims]
+    return sorted(e for e in edges if e >= _MIN_HORIZON and math.isfinite(e))
 
 
 def solve_bounded(bc: BoundaryConditions, bounds: Bounds) -> TrajectoryCoefficients:

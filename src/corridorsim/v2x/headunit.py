@@ -57,7 +57,6 @@ class HeadUnitCore:
     """
 
     def __init__(self, config: CorridorConfig, stale_after: float = 1.0):
-        self.cfg = config
         self.route = config.route(config.main_route)
         self.zones = config.zones_on(self.route.name)
         self.bounds = config.bounds

@@ -8,6 +8,9 @@ exact for piecewise-constant input, so every oracle solution is feasible
 for the continuous problem and its cost is an upper bound on the true
 optimum. As N grows the bound tightens from above.
 
+``least_clean_horizon`` finds the least merging horizon with a clean plan
+by brute force: every horizon of a 1 ms grid at once, then bisection.
+
 The trace checks at the end are the list-based reference versions of
 ``rear_end_check``, ``occupancy_from_trace`` and ``compute_metrics``: they
 hold every row, group them by time step and by vehicle, and walk each group.
@@ -31,9 +34,12 @@ import numpy as np
 from corridorsim.coordinator import MzOccupancy, OccupancyInterval, occupancy_check
 from corridorsim.core import CorridorConfig
 from corridorsim.metrics import STOP_SPEED, TRACE_HEADER, Metrics
-from corridorsim.trajectory import EvaluationWindowError
+from corridorsim.trajectory import (BoundaryConditions, DegenerateHorizonError,
+                                    EvaluationWindowError, InfeasibleHorizonError,
+                                    solve_bounded)
 
 __all__ = ["DiscreteSolution", "solve_discrete", "solve_discrete_bounded",
+           "clean_horizons", "least_clean_horizon",
            "compute_metrics", "rear_end_check", "occupancy_from_trace",
            "evaluate", "optimal_step", "baseline_step", "trace_text"]
 
@@ -129,6 +135,110 @@ def solve_discrete_bounded(p0: float, v0: float, p_end: float, horizon: float,
         raise RuntimeError(f"oracle SLSQP failed: {res.message}")
     v, p = _rollout(p0, v0, res.x, h)
     return DiscreteSolution(h=h, u=res.x, v=v, p=p)
+
+
+# ---------------------------------------------------------------------------
+# least clean merging horizon, by scan
+
+
+def clean_horizons(bc, bounds, horizons: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Whether ``solve_bounded`` gives a clean plan from ``bc`` at each
+    horizon of an array, all at once: the unconstrained plan, then the plan
+    pieced with a cruise arc on the one speed bound it breaks, each checked
+    at its arcs' ends and speed vertex."""
+    T = np.asarray(horizons, dtype=float)
+    d, v0, vt = bc.distance, bc.v0, bc.terminal_speed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if vt is None:
+            a = 3.0 * (v0 * T - d) / T ** 3
+            b = -a * T
+        else:
+            p, dv = d - v0 * T, vt - v0
+            a = 6.0 * dv / T ** 2 - 12.0 * p / T ** 3
+            b = 6.0 * p / T ** 2 - 2.0 * dv / T
+        u_end = a * T + b
+        v_end = 0.5 * a * T * T + b * T + v0
+        vx = -b / a
+        inside = (np.abs(0.5 * a) > 1e-15) & (vx > 0.0) & (vx < T)
+        v_vertex = np.where(inside, v0 - b * b / (2.0 * a), v0)
+        v_hi = np.maximum(np.maximum(v0, v_end), v_vertex)
+        v_lo = np.minimum(np.minimum(v0, v_end), v_vertex)
+        u_ok = (np.maximum(b, u_end) - bounds.u_max <= tol) \
+            & (bounds.u_min - np.minimum(b, u_end) <= tol)
+        over = v_hi - bounds.v_max > tol
+        under = bounds.v_min - v_lo > tol
+        ok = u_ok & ~over & ~under
+        for v_b, hit in ((bounds.v_max, over & ~under), (bounds.v_min, under & ~over)):
+            ok |= hit & _pieced_clean(d, v0, vt, v_b, T, bounds, tol)
+    return ok & (T >= 1e-6)
+
+
+def _pieced_clean(d, v0, vt, v_b, T, bounds, tol):
+    """Clean verdicts of the plan that cruises on the speed bound v_b: an
+    entry arc from v0 to v_b (u from -2*(v0 - v_b)/t1 to 0), the cruise,
+    and an exit arc from v_b to vt (u from 0 to 2*(vt - v_b)/t3)."""
+    eps = 1e-9
+    speeds = [v0] + ([] if vt is None else [vt])
+    if any(v - bounds.v_max > tol or bounds.v_min - v > tol for v in speeds):
+        return np.zeros_like(T, dtype=bool)
+    off0 = v0 - v_b
+    off_t = None if vt is None else vt - v_b
+    entry_flat = abs(off0) < eps
+    exit_flat = off_t is None or abs(off_t) < eps
+    rest = d - v_b * T
+    if entry_flat and exit_flat:
+        return np.abs(rest) <= 1e-6
+    controls = []
+    if entry_flat:
+        t3 = 3.0 * rest / off_t
+        fits = (t3 >= -eps) & (t3 <= T + eps)
+        controls.append(2.0 * off_t / np.clip(t3, 1e-6, T))
+    elif exit_flat:
+        t1 = 3.0 * rest / off0
+        fits = (t1 >= -eps) & (t1 <= T + eps)
+        controls.append(-2.0 * off0 / np.clip(t1, 1e-6, T))
+    elif off_t / off0 < 0.0:
+        return np.zeros_like(T, dtype=bool)
+    else:
+        k = math.sqrt(off_t / off0)
+        t1 = 3.0 * rest / (off0 + k * off_t)
+        t3 = k * t1
+        fits = (t1 >= eps) & (t3 >= 0.0) & (t1 + t3 <= T + eps)
+        controls += [-2.0 * off0 / t1, 2.0 * off_t / t3]
+    for u in controls:
+        fits &= (u - bounds.u_max <= tol) & (bounds.u_min - u <= tol)
+    return fits
+
+
+def least_clean_horizon(bc, bounds, reach: float = 10.0, step: float = 1e-3,
+                        tol: float = 1e-9) -> float | None:
+    """Least horizon in [bc.horizon, bc.horizon + reach] at which
+    ``solve_bounded`` gives a clean plan, or None: ``clean_horizons`` on a
+    ``step`` grid, then bisection to ``tol`` between the last grid point
+    that is not clean and the first that is, each solved one at a time."""
+    def clean(h: float) -> bool:
+        try:
+            solve_bounded(BoundaryConditions(bc.p0, bc.v0, bc.t0, bc.p_mz, bc.t0 + h,
+                                             bc.terminal_speed), bounds)
+            return True
+        except (DegenerateHorizonError, InfeasibleHorizonError):
+            return False
+
+    grid = bc.horizon + step * np.arange(round(reach / step) + 1)
+    hits = np.flatnonzero(clean_horizons(bc, bounds, grid, tol))
+    if not len(hits):
+        return None
+    k = int(hits[0])
+    if k == 0:
+        return float(grid[0])
+    lo, hi = float(grid[k - 1]), float(grid[k])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if clean(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

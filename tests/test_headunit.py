@@ -104,6 +104,17 @@ def test_unreachable_merge_runs_the_clamped_partial_plan(cfg):
     assert core.v_hold == max(terminal_speed(core.plan.coeffs), 0.05)
 
 
+def test_merge_too_close_to_pose_runs_a_partial_plan(cfg):
+    # 1 um before zone 1's MZ line at 40 mph the booked horizon, 56 ns, is
+    # below the 1 us the boundary problem takes: the plan is the first
+    # partial after it, clamped, and nothing raises
+    core = HeadUnitCore(cfg)
+    core.dist = 350.0 - 1e-6
+    core.tick(0.0)
+    assert core.replans == 1 and core.clamped_plans == 1
+    assert core.plan.tm > 0.0 and core.plan.coeffs.tm == core.plan.tm
+
+
 def test_stale_feed_holds_last_command(cfg):
     core = HeadUnitCore(cfg)
     core.dist = 255.0

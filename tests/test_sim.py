@@ -12,8 +12,6 @@ import pytest
 from corridorsim.core import BaselineParams, Bounds, VehicleState, load_config, load_config_file
 from corridorsim import metrics, sim
 from corridorsim.sim import (
-    TM_RELAX_LIMIT,
-    TM_RELAX_STEP,
     Spawner,
     StepContext,
     baseline_step,
@@ -144,34 +142,68 @@ def test_tracking_extrapolates_past_the_merging_time():
     assert p_plan == pytest.approx(100.0, abs=1e-9)  # held at the plan's end
 
 
-def _relaxed(tm, k):
-    for _ in range(k):
-        tm += TM_RELAX_STEP
-    return tm
-
-
 def test_plan_merge_clean_at_first_attempt_keeps_the_booked_tm():
     cfg = table1()
     plan = plan_merge(250.0, 15.0, 0.0, 350.0, cfg.zones[0], 8.0, cfg.bounds)
-    assert plan.clean and plan.relaxations == 0 and plan.tm == 8.0
+    assert plan.clean and plan.tm == 8.0
     assert plan.coeffs.tm == 8.0
     assert plan.v_hold == max(terminal_speed(plan.coeffs), 0.05)
 
 
-def test_plan_merge_relaxes_tm_by_repeated_steps():
-    # zone 1 at v_max, booked 0.42 s sooner than v_max covers the 100 m
+def _clean(p0, v0, t0, p_mz, tm, bounds):
+    try:
+        solve_bounded(BoundaryConditions(p0=p0, v0=v0, t0=t0, p_mz=p_mz, tm=tm), bounds)
+        return True
+    except InfeasibleHorizonError:
+        return False
+
+
+def test_plan_merge_books_the_least_clean_horizon():
+    # zone 1 at v_max, booked 0.42 s sooner than v_max covers the 100 m: the
+    # first clean plan cruises on v_max, within solve_with_speed_arc's 1e-6 m
+    # of the line, not at a 0.1 s step after the booking
     cfg = table1()
     v = cfg.bounds.v_max
     tm = 100.0 / v - 0.42
     plan = plan_merge(250.0, v, 0.0, 350.0, cfg.zones[0], tm, cfg.bounds)
-    assert plan.clean and plan.relaxations == 5
-    assert plan.tm == _relaxed(tm, 5)
-    with pytest.raises(InfeasibleHorizonError):
-        solve_bounded(BoundaryConditions(p0=250.0, v0=v, t0=0.0, p_mz=350.0,
-                                         tm=_relaxed(tm, 4)), cfg.bounds)
+    assert plan.clean and plan.coeffs.tm == plan.tm
+    assert plan.tm == pytest.approx((100.0 - 1e-6) / v, abs=1e-12)
+    assert _clean(250.0, v, 0.0, 350.0, plan.tm, cfg.bounds)
+    assert not _clean(250.0, v, 0.0, 350.0, math.nextafter(plan.tm, 0.0), cfg.bounds)
 
 
-def test_plan_merge_out_of_relaxations_returns_the_partial_plan():
+# the four zone-1 replans that crashed optimal Table-1 runs at 300 s with
+# 0.1 s relaxation steps: (seed, distance to the line, speed, booked horizon,
+# the window of clean horizons a 1 ms scan found)
+CRASH_STATES = [
+    (12, 7.28, 15.19, 0.45, (0.472, 0.495)),
+    (25, 12.2, 15.69, 0.74, (0.760, 0.820)),
+    (33, 9.93, 14.4, 0.64, (0.674, 0.726)),
+    (38, 10.66, 15.28, 0.64, (0.683, 0.733)),
+]
+
+
+@pytest.mark.parametrize("seed,dist,v0,booked,scanned", CRASH_STATES,
+                         ids=[f"seed{c[0]}" for c in CRASH_STATES])
+def test_crash_state_books_a_clean_plan_inside_its_window(seed, dist, v0, booked, scanned):
+    # free terminal speed: u(t0) = 3*(D - v0*T)/T^2 falls through u_max and
+    # then u_min as T grows, so the window is [root at u_max, root at u_min]
+    cfg = table1()
+    b = cfg.bounds
+    t0, p0 = 134.5, 350.0 - dist
+
+    def root(u):
+        return (-3.0 * v0 + math.sqrt(9.0 * v0 * v0 + 12.0 * u * dist)) / (2.0 * u)
+
+    lo, hi = root(b.u_max), root(b.u_min)
+    assert (lo, hi) == pytest.approx(scanned, abs=1.5e-3)
+    plan = plan_merge(p0, v0, t0, 350.0, cfg.zones[0], t0 + booked, b)
+    assert plan.clean
+    assert lo - 1e-9 <= plan.tm - t0 <= hi
+    assert not _clean(p0, v0, t0, 350.0, plan.tm - 1e-9, b)
+
+
+def test_plan_merge_without_a_clean_horizon_runs_the_partial_at_the_booked_tm():
     # 5 m before zone 2's MZ line at 40 mph: reaching 18.6 mph there takes
     # about 25 m/s^2 of braking, whatever the merging time
     cfg = table1()
@@ -179,9 +211,7 @@ def test_plan_merge_out_of_relaxations_returns_the_partial_plan():
     zone = cfg.zones[1]
     plan = plan_merge(695.0, v, 0.0, 700.0, zone, 5.0 / v, cfg.bounds)
     assert plan.clean is False
-    assert plan.relaxations == TM_RELAX_LIMIT
-    assert plan.coeffs is not None
-    assert plan.tm == _relaxed(5.0 / v, TM_RELAX_LIMIT)
+    assert plan.tm == 5.0 / v and plan.coeffs.tm == plan.tm
     assert plan.v_hold == max(terminal_speed(plan.coeffs), 0.05)
 
 
@@ -250,8 +280,8 @@ def test_two_runs_same_seed_bitwise_identical():
 # sha256 over trace, schedule and events bytes of Table-1 cut to 60 s; the
 # step loop and the writers must reproduce them bit for bit
 GOLDEN_60S = {
-    ("optimal", 1): "fb3855c847a005dcef1c5d81a6bf50fb32a299fe7126db836e062e944ff02dba",
-    ("optimal", 3): "17da85e7fdee37f6325623a1a9017fd5f0effd5944357f97cb67245c7a81d2a6",
+    ("optimal", 1): "ccc623423c09fa4e5e4243b2b2cf0e0e6c62da58e40668a8ec442684c68f6b70",
+    ("optimal", 3): "6cbaa9c478a8bcde2dea5a55c5788376f40254c9a78c9917993428109c629c27",
     ("baseline", 1): "406a2a3ff4e03b1089f7ff33ea8587eb340396ffed80605d17b0e505742cb47a",
     ("baseline", 3): "c343650852f8e0278ac1730f9f4a6d35720c4a08cb4262cfa7ac08a9679dfd8d",
 }
@@ -491,6 +521,17 @@ def test_report_includes_improvement_column():
     assert "improvement" in text
     assert "zone 3 (roundabout)" in text
     assert "corridor time" in text
+
+
+def test_report_scores_each_row_in_its_better_direction():
+    # optimal is faster but completes fewer vehicles: both rows must say so
+    cfg = table1()
+    runs = {"baseline": [metrics.Metrics("baseline", 1, corridor_time=150.0, completed=215)],
+            "optimal": [metrics.Metrics("optimal", 1, corridor_time=120.0, completed=200)]}
+    lines = metrics.render_report(cfg, runs).splitlines()
+    gain = {line[:34].strip(): line[-14:].strip() for line in lines[2:]}
+    assert gain["corridor time [s]"] == "20.0%"
+    assert gain["vehicles completed"] == "-7.0%"
 
 
 # ---------------------------------------------------------------------------

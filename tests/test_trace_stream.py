@@ -260,6 +260,8 @@ def test_batched_trace_text_equals_the_reference(tmp_path, monkeypatch, forks, b
         chunks = []
         with open(trace, "w", newline="") as fh, \
                 metrics.TraceSink(fh, metrics.MetricsAccumulator(cfg)) as sink:
+            if cpus == 2:
+                assert sink.pid == forks[0]
             send = sink._send
 
             def spy(chunk, send=send):
@@ -276,22 +278,6 @@ def test_batched_trace_text_equals_the_reference(tmp_path, monkeypatch, forks, b
         assert max(chunks) < metrics._CHUNK_ROWS + batch
         assert _canon(dataclasses.asdict(got)) == want_metrics
     _reaped(forks[0])
-
-
-def test_writer_process_text_equals_the_reference(tmp_path, forks):
-    cfg = load_config_file(TABLE1)
-    rows = _text_rows() + _stepped_rows(2 * metrics._CHUNK_ROWS) + _text_rows()
-    trace = tmp_path / "trace.csv"
-    acc = metrics.MetricsAccumulator(cfg)
-    with open(trace, "w", newline="") as fh, metrics.TraceSink(fh, acc) as sink:
-        assert sink.pid == forks[0]
-        for i in range(0, len(rows), 41):
-            sink.extend(rows[i:i + 41])
-        got = sink.close()
-    _reaped(forks[0])
-    assert trace.read_bytes() == oracles.trace_text(rows).encode()
-    want = oracles.compute_metrics(rows, cfg)
-    assert _canon(dataclasses.asdict(got)) == _canon(dataclasses.asdict(want))
 
 
 class _Boom(Exception):

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from corridorsim.core import Bounds
+from corridorsim.core import Bounds, ConflictZoneSpec
+from corridorsim.sim import plan_merge
 from corridorsim.trajectory import (
     ArcSegment,
     BoundaryConditions,
@@ -21,13 +22,14 @@ from corridorsim.trajectory import (
     check_feasibility,
     control_effort,
     evaluate,
+    horizon_edges,
     solve_bounded,
     solve_unconstrained,
     solve_with_speed_arc,
     terminal_speed,
 )
 
-from oracles import solve_discrete, solve_discrete_bounded
+from oracles import clean_horizons, least_clean_horizon, solve_discrete, solve_discrete_bounded
 
 WIDE = Bounds(u_min=-10.0, u_max=10.0, v_min=0.0, v_max=60.0)
 TABLE = Bounds(u_min=-3.0, u_max=1.5, v_min=0.0, v_max=17.8816)
@@ -312,22 +314,28 @@ def test_infeasible_window_below_kinematic_floor():
         solve_with_speed_arc(bc, TABLE, "v_max")
 
 
-def test_every_infeasible_solve_carries_a_partial_plan():
-    # callers out of relaxation budget execute exc.partial with no other
-    # fallback, so every raise must carry one; the cases cover each way the
-    # unconstrained shape can fail: v_max, v_min, both, or a control bound
+def _random_states(n):
+    """n (bc, bounds) draws that cover each way the unconstrained shape can
+    fail: v_max, v_min, both, or a control bound."""
     rng = np.random.default_rng(11)
     floor = Bounds(u_min=-3.0, u_max=1.5, v_min=5.0, v_max=17.8816)
-    raised = {"v_max": 0, "v_min": 0, "both": 0, "control": 0}
-    for trial in range(3000):
+    for trial in range(n):
         bounds = TABLE if trial % 2 else floor
         v0 = float(rng.uniform(0.0, 22.0))
         vt = float(rng.uniform(0.5, 22.0)) if trial % 3 else None
         dist = float(rng.uniform(1.0, 300.0))
         tm = float(rng.uniform(0.1, 5.0)) if trial % 4 == 0 \
             else dist / float(rng.uniform(0.5, 30.0))
-        bc = BoundaryConditions(p0=0.0, v0=v0, t0=0.0, p_mz=dist, tm=tm,
-                                terminal_speed=vt)
+        yield BoundaryConditions(p0=0.0, v0=v0, t0=0.0, p_mz=dist, tm=tm,
+                                 terminal_speed=vt), bounds
+
+
+def test_every_infeasible_solve_carries_a_partial_plan():
+    # a planner with no clean horizon at or after the booked merging time
+    # executes exc.partial with no other fallback, so every raise must
+    # carry one
+    raised = {"v_max": 0, "v_min": 0, "both": 0, "control": 0}
+    for bc, bounds in _random_states(3000):
         hits = check_feasibility(solve_unconstrained(bc), bounds)
         speed = hits & {"v_max", "v_min"}
         kind = ("both" if len(speed) == 2 else speed.pop() if speed
@@ -338,6 +346,57 @@ def test_every_infeasible_solve_carries_a_partial_plan():
             assert exc.partial is not None, (bc, bounds)
             raised[kind] += 1
     assert min(raised.values()) >= 20, raised
+
+
+def test_plan_merge_books_what_a_scan_finds():
+    # the least clean horizon at or after the booked one, from the closed-form
+    # edges, against a 1 ms scan and bisection that knows nothing of them.
+    # The scan reaches 10 s past the booking, and past the planner's horizon
+    # where that lies farther (up to 22 s here)
+    found = moved = far = 0
+    for bc, bounds in _random_states(2000):
+        vt = bc.terminal_speed
+        zone = ConflictZoneSpec(index=1, kind="merge", cz_length=100.0, mz_length=15.0,
+                                mz_speed=17.8816 if vt is None else vt, approaches=(),
+                                terminal_rule="free" if vt is None else "mz_speed")
+        plan = plan_merge(bc.p0, bc.v0, bc.t0, bc.p_mz, zone, bc.tm, bounds)
+        reach = 10.0
+        if plan.clean and plan.tm - bc.tm > reach:
+            reach = math.ceil(plan.tm - bc.tm) + 1.0
+            far += 1
+        want = least_clean_horizon(bc, bounds, reach=reach)
+        if want is None:
+            assert not plan.clean, (bc, bounds, plan.tm)
+            assert plan.tm == bc.tm
+            continue
+        assert plan.clean, (bc, bounds, want)
+        assert plan.tm - bc.t0 == pytest.approx(want, abs=1e-6), (bc, bounds)
+        assert plan.coeffs.tm == plan.tm
+        found += 1
+        if plan.tm > bc.tm:     # a booking moved later sits on a closed-form edge
+            edges = horizon_edges(bc.p0, bc.v0, bc.p_mz, vt, bounds)
+            assert min(abs(e - want) for e in edges) < 1e-9, (bc, bounds, want)
+            moved += 1
+    assert found >= 500 and moved >= 300 and far >= 20, (found, moved, far)
+
+
+def test_the_scan_oracle_agrees_with_solve_bounded():
+    # clean_horizons decides every grid horizon at once; spot-check it
+    # against solve_bounded one horizon at a time
+    rng = np.random.default_rng(3)
+    n_clean = 0
+    for bc, bounds in _random_states(500):
+        horizons = bc.horizon + rng.uniform(0.0, 30.0, 20)
+        for h, ok in zip(horizons, clean_horizons(bc, bounds, horizons)):
+            try:
+                solve_bounded(BoundaryConditions(bc.p0, bc.v0, bc.t0, bc.p_mz,
+                                                 bc.t0 + h, bc.terminal_speed), bounds)
+                clean = True
+            except InfeasibleHorizonError:
+                clean = False
+            assert clean == ok, (bc, bounds, h)
+            n_clean += clean
+    assert n_clean >= 1000
 
 
 def test_terminal_speed_past_the_ceiling_is_a_violation():
