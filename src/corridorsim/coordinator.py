@@ -141,7 +141,9 @@ class ZoneCoordinator:
 
     ``history`` is the one booking record: every entry ever registered, in
     registration order, updated in place. The MZ occupancy book is read off
-    it; ``_by_id`` holds the entries still queued, in FIFO order.
+    it; ``_by_id`` holds the entries still queued, in FIFO order, and
+    ``_v0`` their scheduling speeds, which the recursion reads again when a
+    predecessor's booking moves.
     """
 
     def __init__(self, zone: ConflictZoneSpec, bounds: Bounds, headway: float):
@@ -150,6 +152,7 @@ class ZoneCoordinator:
         self.headway = headway
         self.history: list[ScheduleEntry] = []
         self._by_id: dict[int, ScheduleEntry] = {}
+        self._v0: dict[int, float] = {}
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -180,11 +183,7 @@ class ZoneCoordinator:
             relation = RELATION_SAME_LANE
         else:
             relation = RELATION_CONFLICT_LANE
-        tm, truncated = merging_time(
-            t0, v0, self.zone.cz_length,
-            None if prev is None else (prev.tm, prev.v_at_tm),
-            relation == RELATION_SAME_LANE, self.zone.mz_length,
-            self.bounds, self.headway)
+        tm, truncated = self._recursion(prev, t0, v0, lane)
         if truncated:
             log.warning("zone %d: gap term for vehicle %d truncated by the "
                         "kinematic ceiling; rear-end spacing not guaranteed",
@@ -197,10 +196,41 @@ class ZoneCoordinator:
                               truncated=truncated)
         self.history.append(entry)
         self._by_id[vehicle_id] = entry
+        self._v0[vehicle_id] = v0
         return entry
 
+    def _recursion(self, prev: Optional[ScheduleEntry], t0: float, v0: float,
+                   lane: str) -> tuple[float, bool]:
+        """``merging_time`` for a vehicle at (t0, v0) on ``lane`` behind the
+        booking ``prev`` (None: no predecessor)."""
+        return merging_time(
+            t0, v0, self.zone.cz_length,
+            None if prev is None else (prev.tm, prev.v_at_tm),
+            prev is not None and prev.lane == lane, self.zone.mz_length,
+            self.bounds, self.headway)
+
+    def follower(self, vehicle_id: int) -> Optional[tuple[ScheduleEntry, float]]:
+        """The entry queued right behind ``vehicle_id`` and the merging time
+        the FIFO recursion gives it against ``vehicle_id``'s booking as it
+        stands now; None at the back of the queue. A caller that moved the
+        booking later pushes the follower up to that time with
+        ``adjust_merging_time`` and replans it, which makes it the next
+        predecessor to check."""
+        prev = self.entry(vehicle_id)
+        queue = iter(self._by_id)
+        for vid in queue:
+            if vid == vehicle_id:
+                break
+        nxt = next(queue, None)
+        if nxt is None:
+            return None
+        entry = self._by_id[nxt]
+        tm, _ = self._recursion(prev, entry.t0, self._v0[nxt], entry.lane)
+        return entry, tm
+
     def adjust_merging_time(self, vehicle_id: int, tm: float) -> ScheduleEntry:
-        """Relax a merging time upward (infeasible-horizon retries)."""
+        """Move a merging time later: the planner's least clean horizon, or
+        a follower pushed behind its predecessor's moved booking."""
         entry = self.entry(vehicle_id)
         if tm < entry.tm - 1e-12:
             raise ValueError("merging times may only be relaxed later, "
@@ -229,4 +259,5 @@ class ZoneCoordinator:
             raise ValueError(f"exit at {tf:.3f} s precedes MZ entry {entry.tm:.3f} s")
         entry.tf = tf
         del self._by_id[vehicle_id]
+        del self._v0[vehicle_id]
         return entry

@@ -64,6 +64,7 @@ log = logging.getLogger(__name__)
 REANCHOR_TOLERANCE = 0.3   # m of tracking drift before a replan
 MIN_SCHED_SPEED = 0.5      # floor for the scheduling speed of a crawling entrant
 MIN_MERGE_SPEED = 0.05     # floor for a merging speed held or booked through the MZ
+_SNAP_ULPS = 256           # the most floats _least_float walks from its guess
 YIELD_CROSS_MARGIN = 1.0   # s added to the kinematic crossing time at a yield line
 LINE_SETBACK = 0.2         # m short of the merging-zone line a yielder stops
 GOVERNOR_MARGIN = 0.01     # m kept above the headway envelope by the governor
@@ -205,7 +206,10 @@ class MergePlan(NamedTuple):
     meets, the least one at or after the booked time that has a clean plan,
     and ``v_hold`` the speed held through the MZ. ``clean`` is False when no
     horizon at or after the booked one has a clean plan: ``tm`` is then the
-    booked time and ``coeffs`` its partial plan, whose control clamps."""
+    booked time and ``coeffs`` its partial plan, whose control clamps. A
+    booked horizon too short to pose (under 1 us) has no partial; ``tm`` is
+    then the first later horizon that has one, so such a plan is both moved
+    later and not clean."""
 
     coeffs: TrajectoryCoefficients
     tm: float
@@ -306,12 +310,23 @@ class SimResult:
 
 def _least_float(pred, guess: float) -> float:
     """Least float at which ``pred`` holds, for a predicate that is false
-    below and true above one point a few ulps from ``guess``."""
+    below and true above one point a few ulps from ``guess``. Raises
+    RuntimeError when the walk passes _SNAP_ULPS floats: ``guess`` was not
+    near the switch."""
     s = guess
+    walked = 0
+
+    def step(s: float, to: float) -> float:
+        nonlocal walked
+        walked += 1
+        if walked > _SNAP_ULPS:
+            raise RuntimeError(f"no switch within {_SNAP_ULPS} floats of {guess!r}")
+        return math.nextafter(s, to)
+
     while pred(s):
-        s = math.nextafter(s, -math.inf)
+        s = step(s, -math.inf)
     while not pred(s):
-        s = math.nextafter(s, math.inf)
+        s = step(s, math.inf)
     return s
 
 
@@ -380,6 +395,7 @@ class _Passage:
     """Progress of one vehicle through one zone."""
 
     slot: _Slot
+    state: VehicleState
     phase: str                        # cz | mz
     plan: Optional[MergePlan] = None  # not clean: a clamped partial, drift is expected
     p_plan: Optional[float] = None    # plan position now; None right after planning
@@ -444,14 +460,18 @@ class Simulation:
                                        v0=max(state.v, MIN_SCHED_SPEED), lane=slot.ap.lane)
         if entry.truncated:
             self.events["gap_truncations"] += 1
-        passage = self.passages[state.vehicle_id] = _Passage(slot=slot, phase="cz")
-        self._solve(state, passage, coord, entry, t)
+        passage = self.passages[state.vehicle_id] = _Passage(slot=slot, state=state, phase="cz")
+        self._solve(passage, coord, entry, t)
 
-    def _solve(self, state: VehicleState, passage: _Passage, coord: ZoneCoordinator,
-               entry: ScheduleEntry, t: float) -> None:
+    def _solve(self, passage: _Passage, coord: ZoneCoordinator, entry: ScheduleEntry,
+               t: float) -> None:
         """Plan ``passage`` from the current state and book the plan's
-        merging time and speed."""
-        vid, zone = state.vehicle_id, passage.slot.zone
+        merging time and speed. A follower whose recursion now asks for a
+        later merging time is pushed to it and replanned in turn, while it
+        is still in the control zone and at least two steps from its merge;
+        the first follower left in place ends the cascade."""
+        state, zone = passage.state, passage.slot.zone
+        vid = state.vehicle_id
         plan = passage.plan = plan_merge(state.s, state.v, t, passage.slot.ap.mz_start,
                                          zone, entry.tm, self.bounds)
         if plan.tm != entry.tm:
@@ -462,14 +482,24 @@ class Simulation:
             log.warning("vehicle %d zone %d: no clean plan at or after the booked "
                         "merging time; executing with control clamped", vid, zone.index)
         coord.set_terminal_speed(vid, plan.v_hold)
+        behind = coord.follower(vid)
+        if behind is None:
+            return
+        follower, tm = behind
+        nxt = self.passages[follower.vehicle_id]
+        if tm > follower.tm and nxt.phase == "cz" and follower.tm - t >= 2 * self.dt:
+            coord.adjust_merging_time(follower.vehicle_id, tm)
+            self.events["follower_pushes"] += 1
+            nxt.p_plan = None
+            self._solve(nxt, coord, follower, t)
 
-    def _replan(self, state: VehicleState, passage: _Passage, t: float) -> None:
+    def _replan(self, passage: _Passage, t: float) -> None:
         coord = self.coordinators[passage.slot.zone.index]
-        entry = coord.entry(state.vehicle_id)
+        entry = coord.entry(passage.state.vehicle_id)
         if entry.tm - t < 2 * self.dt:
             return   # too close to the merge to re-pose the problem
         self.events["replans"] += 1
-        self._solve(state, passage, coord, entry, t)
+        self._solve(passage, coord, entry, t)
 
     # -- per-step snapshot ---------------------------------------------------
 
@@ -647,7 +677,7 @@ class Simulation:
                 else:
                     if (passage.p_plan is not None and passage.plan.clean
                             and abs(s - passage.p_plan) > REANCHOR_TOLERANCE):
-                        self._replan(st, passage, t)
+                        self._replan(passage, t)
                     plan = passage.plan
                     u, clamped, passage.p_plan = optimal_step(
                         st, plan.coeffs, t, dt, bounds, plan.v_hold)

@@ -42,6 +42,7 @@ _MIN_HORIZON = 1e-6
 _SPEED_EPS = 1e-9
 _TIME_EPS = 1e-9
 _POS_TOL = 1e-6
+_FEAS_TOL = 1e-9   # bound exceedance that check_feasibility forgives
 
 
 class DegenerateHorizonError(ValueError):
@@ -212,7 +213,7 @@ def _peak_quad(qa: float, qb: float, qc: float, span: float) -> float:
 
 
 def check_feasibility(coeffs: TrajectoryCoefficients, bounds: Bounds,
-                      tol: float = 1e-9) -> set[str]:
+                      tol: float = _FEAS_TOL) -> set[str]:
     """Names of the bounds (u_min, u_max, v_min, v_max) that u or v exceeds
     by more than tol somewhere in the plan window.
 
@@ -246,6 +247,31 @@ def _entry_arc(bc: BoundaryConditions, v_b: float, t1: float) -> ArcSegment:
     return ArcSegment(ARC_UNCONSTRAINED, bc.t0, bc.t0 + t1, a1, -a1 * t1, bc.v0, bc.p0)
 
 
+def _arc_spans(free: float, v0_off: float, vt_off: Optional[float]
+               ) -> Optional[tuple[Optional[float], Optional[float]]]:
+    """Spans (T1, T3) of the entry and exit arcs around a cruise arc at a
+    speed bound v_b, for free = 3*(D - v_b*T) and the boundary speeds less
+    the bound (vt_off None: free terminal speed). An arc the plan lacks is
+    None, so (None, None) is a cruise-only plan; None when the boundary
+    speeds straddle the bound and no single cruise arc fits. Each span is
+    free/sigma for a sigma of its own, and the arc changes the speed by
+    v0_off (entry) or vt_off (exit)."""
+    entry_flat = abs(v0_off) < _SPEED_EPS
+    exit_flat = vt_off is None or abs(vt_off) < _SPEED_EPS
+    if entry_flat and exit_flat:
+        return None, None
+    if entry_flat:
+        return None, free / vt_off
+    if exit_flat:
+        return free / v0_off, None
+    ratio = vt_off / v0_off
+    if ratio < 0:
+        return None
+    k = math.sqrt(ratio)
+    t1 = free / (v0_off + k * vt_off)
+    return t1, k * t1
+
+
 def solve_with_speed_arc(bc: BoundaryConditions, bounds: Bounds,
                          which: str) -> TrajectoryCoefficients:
     """Piece the plan with a constant-speed arc riding v_max or v_min.
@@ -275,15 +301,17 @@ def solve_with_speed_arc(bc: BoundaryConditions, bounds: Bounds,
         seg = ArcSegment(cruise_kind, bc.t0, bc.tm, 0.0, 0.0, v_b, bc.p0)
         return TrajectoryCoefficients(bc.t0, bc.tm, (seg,))
 
-    entry_flat = abs(v0_off) < _SPEED_EPS
-    exit_flat = vt_off is None or abs(vt_off) < _SPEED_EPS
+    spans = _arc_spans(3.0 * (dp - v_b * t), v0_off, vt_off)
+    if spans is None:
+        raise InfeasibleHorizonError(
+            "boundary speeds straddle the bound; no single cruise arc fits")
+    t1, t3 = spans
 
-    if entry_flat and exit_flat:
+    if t1 is None and t3 is None:
         return cruise_only()
 
-    if entry_flat:
+    if t1 is None:
         # cruise from t0, single exit arc to the fixed terminal speed
-        t3 = 3.0 * (dp - v_b * t) / vt_off
         if t3 < -_TIME_EPS or t3 > t + _TIME_EPS:
             raise InfeasibleHorizonError(f"exit arc span {t3:.3f} s outside window {t:.3f} s")
         t3 = min(max(t3, _MIN_HORIZON), t)
@@ -294,10 +322,9 @@ def solve_with_speed_arc(bc: BoundaryConditions, bounds: Bounds,
                               a3, 0.0, v_b, bc.p0 + d_cruise)
         return TrajectoryCoefficients(bc.t0, bc.tm, (cruise, exit_arc))
 
-    if exit_flat:
+    if t3 is None:
         # entry arc, then cruise rides the bound to tm (free terminal lands
         # on the bound; fixed terminal equal to the bound is the same shape)
-        t1 = 3.0 * (dp - v_b * t) / v0_off
         if t1 < -_TIME_EPS or t1 > t + _TIME_EPS:
             raise InfeasibleHorizonError(f"entry arc span {t1:.3f} s outside window {t:.3f} s")
         t1 = min(max(t1, _MIN_HORIZON), t)
@@ -306,13 +333,6 @@ def solve_with_speed_arc(bc: BoundaryConditions, bounds: Bounds,
         cruise = ArcSegment(cruise_kind, bc.t0 + t1, bc.tm, 0.0, 0.0, v_b, bc.p0 + d_entry)
         return TrajectoryCoefficients(bc.t0, bc.tm, (entry, cruise))
 
-    ratio = vt_off / v0_off
-    if ratio < 0:
-        raise InfeasibleHorizonError(
-            "boundary speeds straddle the bound; no single cruise arc fits")
-    k = math.sqrt(ratio)
-    t1 = 3.0 * (dp - v_b * t) / (v0_off + k * vt_off)
-    t3 = k * t1
     if t1 < _TIME_EPS or t3 < 0 or t1 + t3 > t + _TIME_EPS:
         raise InfeasibleHorizonError(
             f"arc spans T1={t1:.3f} s, T3={t3:.3f} s do not fit window {t:.3f} s")
@@ -338,24 +358,24 @@ def _roots(qa: float, qb: float, qc: float) -> list[float]:
 
 
 def horizon_edges(p0: float, v0: float, p_mz: float, terminal_speed: Optional[float],
-                  bounds: Bounds, tol: float = 1e-9) -> list[float]:
+                  bounds: Bounds) -> list[float]:
     """Horizons T, ascending, at which ``solve_bounded`` from (p0, v0) to
     p_mz may turn clean or unclean: between two neighbours, and past the
     last, it is clean at every horizon or at none.
 
     Each edge is a closed-form root in T of one bound, widened by the
-    feasibility check's ``tol``. On the unconstrained shape u at each end is
-    quadratic in T: with a fixed terminal speed vt, u(t0) <= u_max holds
+    feasibility check's tolerance. On the unconstrained shape u at each end
+    is quadratic in T: with a fixed terminal speed vt, u(t0) <= u_max holds
     where u_max*T^2 + (4*v0 + 2*vt)*T - 6*D >= 0, with a free one where
     u_max*T^2 + 3*v0*T - 3*D >= 0. On a cruise shape every arc span is
-    3*(D - v_b*T)/sigma for a constant sigma, so the horizons at which an
-    arc's end control meets a bound are linear in T. Where the unconstrained
-    speed just touches v_b, the cruise shape that takes over is the same
-    plan, so the verdict does not turn there.
+    proportional to 3*(D - v_b*T) (``_arc_spans``), so the horizons at
+    which an arc's end control meets a bound are linear in T. Where the
+    unconstrained speed just touches v_b, the cruise shape that takes over
+    is the same plan, so the verdict does not turn there.
     """
     d = p_mz - p0
     vt = terminal_speed
-    u_lims = (bounds.u_max + tol, bounds.u_min - tol)
+    u_lims = (bounds.u_max + _FEAS_TOL, bounds.u_min - _FEAS_TOL)
     edges = [_MIN_HORIZON]
     # unconstrained shape: u at each end
     for u in u_lims:
@@ -364,32 +384,21 @@ def horizon_edges(p0: float, v0: float, p_mz: float, terminal_speed: Optional[fl
         else:
             edges += _roots(u, 4.0 * v0 + 2.0 * vt, -6.0 * d) \
                 + _roots(u, -(4.0 * vt + 2.0 * v0), 6.0 * d)
-    # cruise shapes: arc spans 3*(D - v_b*T)/sigma, as solve_with_speed_arc
-    # lays them out
+    # cruise shapes
     for v_b in (bounds.v_max, bounds.v_min):
         if not v_b:
             continue    # the spans do not move with T
-        off0 = v0 - v_b
-        off_t = None if vt is None else vt - v_b
-        entry_flat = abs(off0) < _SPEED_EPS
-        exit_flat = off_t is None or abs(off_t) < _SPEED_EPS
-        if entry_flat and exit_flat:    # cruise only, within _POS_TOL of the line
+        offs = (v0 - v_b, None if vt is None else vt - v_b)
+        spans = _arc_spans(1.0, *offs)    # each arc's span per unit of 3*(D - v_b*T)
+        if spans is None:
+            continue    # never pieced
+        if spans == (None, None):    # cruise only, within _POS_TOL of the line
             edges += [(d - _POS_TOL) / v_b, (d + _POS_TOL) / v_b]
             continue
-        if entry_flat:
-            arcs = [(off_t, off_t)]                 # (sigma, speed change) per arc
-        elif exit_flat:
-            arcs = [(off0, off0)]
-        elif off_t / off0 < 0.0:
-            continue    # never pieced
-        else:
-            k = math.sqrt(off_t / off0)
-            sigma = off0 + k * off_t
-            arcs = [(sigma, off0), (sigma / k, off_t)]
         # the spans at which an arc's end control, 2*dv/span in size, meets
         # a control bound
-        edges += [(3.0 * d - 2.0 * abs(dv / u) * sigma) / (3.0 * v_b)
-                  for sigma, dv in arcs for u in u_lims]
+        edges += [(3.0 * d - 2.0 * abs(dv / u) / c) / (3.0 * v_b)
+                  for c, dv in zip(spans, offs) if c is not None for u in u_lims]
     return sorted(e for e in edges if e >= _MIN_HORIZON and math.isfinite(e))
 
 

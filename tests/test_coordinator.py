@@ -149,6 +149,30 @@ def test_release_then_reregister_allowed(coordinator):
     assert sum(1 for iv in coordinator.occupancy.intervals if iv.vehicle_id == 1) == 2
 
 
+def test_follower_recursion_reads_the_predecessor_booking_as_it_stands(coordinator):
+    # the recursion asks for the follower's booked time until the
+    # predecessor's booking moves, then for the moved time plus the gap term
+    coordinator.register_arrival(1, t0=0.0, v0=13.4, lane="lane_a")
+    coordinator.set_terminal_speed(1, 12.0)
+    second = coordinator.register_arrival(2, t0=0.1, v0=13.4, lane="lane_b")
+    third = coordinator.register_arrival(3, t0=0.2, v0=11.0, lane="lane_b")
+    follower, tm = coordinator.follower(1)
+    assert follower is second and tm == second.tm
+    first = coordinator.adjust_merging_time(1, coordinator.entry(1).tm + 0.5)
+    coordinator.set_terminal_speed(1, 10.0)
+    follower, tm = coordinator.follower(1)
+    assert follower is second and second.tm < tm == pytest.approx(first.tm + 30.0 / 10.0)
+    coordinator.adjust_merging_time(2, tm)
+    # same lane behind 2: its own scheduling speed 11.0 over 2's 10.0 m/s
+    follower, tm = coordinator.follower(2)
+    assert follower is third and tm == pytest.approx(second.tm + 1.2 * 11.0 / 10.0)
+    assert coordinator.follower(3) is None
+    with pytest.raises(UnknownVehicleError):
+        coordinator.follower(9)
+    coordinator.release(1, tf=first.tf)
+    assert coordinator.follower(2)[0] is third
+
+
 def test_adjust_merging_time_only_relaxes(coordinator):
     coordinator.register_arrival(1, t0=0.0, v0=13.4, lane="lane_a")
     tm = coordinator.entry(1).tm
