@@ -178,7 +178,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from corridorsim.v2x.broker import Broker
     from corridorsim.v2x.bsm import decode_bsm, encode_bsm
     from corridorsim.v2x.headunit import HeadUnitCore, command_stream, run_over_socket
-    from corridorsim.v2x.replay import frames_from_trace, publish_frames
+    from corridorsim.v2x.replay import publish_frames, wire_fields
 
     cfg = _load(args.config)
     try:
@@ -187,16 +187,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    def frames():
-        """The trace's frames, built as its rows are read."""
-        return frames_from_trace(iter_trace(args.trace), cfg, schedule)
+    def fields():
+        """The trace's frame fields in wire units, made as its rows are read."""
+        return wire_fields(iter_trace(args.trace), cfg, schedule)
 
     def twin_frames():
         """The frames as the socket path decodes them.  A row that cannot be
         read or a frame that cannot be encoded is bad input; an error the
         head unit raises while planning is not caught here."""
         try:
-            for frame in frames():
+            for frame in fields():
                 yield decode_bsm(encode_bsm(frame))
         except (OSError, ValueError) as exc:
             raise _BadInput(exc) from exc
@@ -227,7 +227,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     consumer = threading.Thread(target=consume)
     consumer.start()
     t_start = time.monotonic()
-    published = publish_frames(frames(), broker.address, rate=args.rate)
+    published = publish_frames(fields(), broker.address, rate=args.rate)
     consumer.join()
     # the stream's closing tick fires only after idle_timeout of quiet, so
     # the clock stops at the command before it

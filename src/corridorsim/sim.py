@@ -479,8 +479,8 @@ class Simulation:
             self.events["tm_relaxations"] += 1
         if not plan.clean:
             self.events["relax_exhausted"] += 1
-            log.warning("vehicle %d zone %d: no clean plan at or after the booked "
-                        "merging time; executing with control clamped", vid, zone.index)
+            log.debug("vehicle %d zone %d: no clean plan at or after the booked "
+                      "merging time; executing with control clamped", vid, zone.index)
         coord.set_terminal_speed(vid, plan.v_hold)
         behind = coord.follower(vid)
         if behind is None:

@@ -18,11 +18,13 @@ offset size  type    field
 ====== ====  ======  ==============================================
 
 Speed, distance, and position fields are stored in their wire units so a
-decode(encode(frame)) round trip is exact; helpers convert to SI.
+decode(encode(frame)) round trip is exact; helpers convert to SI.  Trace
+rows are quantized into these units in one place, ``replay.wire_fields``.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from typing import NamedTuple
 
@@ -32,6 +34,7 @@ MSG_SPAT = 0x13
 FRAME_SIZE = 28
 _LAYOUT = struct.Struct(">BIiiHiHHBI")
 assert _LAYOUT.size == FRAME_SIZE
+_pack = _LAYOUT.pack
 
 SPEED_UNIT = 0.02  # m/s per speed count
 DIST_UNIT = 0.1  # meters per decimeter
@@ -72,67 +75,51 @@ class BsmFrame(NamedTuple):
         return self.speed_code * SPEED_UNIT
 
     @property
-    def dist_m(self) -> float:
-        return self.dist_dm * DIST_UNIT
-
-    @property
     def tm_s(self) -> float:
         return self.tm_ms / 1000.0
 
-    @staticmethod
-    def from_state(
-        vehicle_id: int,
-        speed: float,
-        tm: float,
-        dist: float,
-        cz: int,
-        seq: int,
-        timestamp: float,
-    ) -> "BsmFrame":
-        """Quantize SI values (m/s, s, m) into wire units.
 
-        The one place frames are quantized.  Negative speed and distance
-        clamp to zero (as ``max(x, 0.0)``); ``round`` halves to even.
-        """
-        return _new(BsmFrame, (
-            MSG_BSM,
-            vehicle_id,
-            0,
-            0,
-            round((0.0 if speed < 0.0 else speed) / SPEED_UNIT),
-            round(tm * 1000.0),
-            round((0.0 if dist < 0.0 else dist) / DIST_UNIT),
-            cz,
-            seq & 0xFF,
-            round(timestamp * 1000.0),
-        ))
+# Each field's encodable values, in field order, and the message a value
+# outside them raises.  ``struct`` enforces the widths; this table only names
+# the field at fault once a pack has failed.
+_ALLOWED = (
+    (_MSG_IDS, "unknown msg_id {:#x}"),
+    (range(_U32_MAX + 1), "vehicle_id out of u32 range"),
+    (range(_I32_MIN, _I32_MAX + 1), "latitude out of i32 range"),
+    (range(_I32_MIN, _I32_MAX + 1), "longitude out of i32 range"),
+    (range(_U16_MAX + 1), "speed out of u16 range"),
+    (range(_I32_MIN, _I32_MAX + 1), "merging time out of i32 range"),
+    (range(_U16_MAX + 1), "distance out of u16 range"),
+    (range(_CZ_MAX + 1), "zone id {} out of range 0.." + str(_CZ_MAX)),
+    (range(0x100), "seq out of u8 range"),
+    (range(_U32_MAX + 1), "timestamp out of u32 range"),
+)
 
 
-def _encode_error(frame: BsmFrame) -> str:
-    """The message of the first range check ``frame`` fails, in field order."""
-    checks = (
-        (frame.msg_id in _MSG_IDS, f"unknown msg_id {frame.msg_id:#x}"),
-        (0 <= frame.vehicle_id <= _U32_MAX, "vehicle_id out of u32 range"),
-        (_I32_MIN <= frame.latitude <= _I32_MAX, "latitude out of i32 range"),
-        (_I32_MIN <= frame.longitude <= _I32_MAX, "longitude out of i32 range"),
-        (0 <= frame.speed_code <= _U16_MAX, "speed out of u16 range"),
-        (_I32_MIN <= frame.tm_ms <= _I32_MAX, "merging time out of i32 range"),
-        (0 <= frame.dist_dm <= _U16_MAX, "distance out of u16 range"),
-        (0 <= frame.cz <= _CZ_MAX, f"zone id {frame.cz} out of range 0..{_CZ_MAX}"),
-        (0 <= frame.seq <= 0xFF, "seq out of u8 range"),
-        (0 <= frame.timestamp_ms <= _U32_MAX, "timestamp out of u32 range"),
-    )
-    return next(message for ok, message in checks if not ok)
+def _encode_error(frame: tuple) -> str:
+    """The message of the first field of ``frame``, in field order, that
+    cannot be encoded."""
+    for name, value, (allowed, message) in zip(BsmFrame._fields, frame, _ALLOWED):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            return f"{name} is not an integer: {value!r}"
+        if value not in allowed:
+            return message.format(value)
+    return f"frame has {len(frame)} fields, expected {len(BsmFrame._fields)}"
 
 
-def encode_bsm(frame: BsmFrame) -> bytes:
-    msg_id, vid, lat, lon, speed, tm_ms, dist, cz, seq, ts = frame
-    if (msg_id in _MSG_IDS and 0 <= vid <= _U32_MAX
-            and _I32_MIN <= lat <= _I32_MAX and _I32_MIN <= lon <= _I32_MAX
-            and 0 <= speed <= _U16_MAX and _I32_MIN <= tm_ms <= _I32_MAX
-            and 0 <= dist <= _U16_MAX and 0 <= cz <= _CZ_MAX
-            and 0 <= seq <= 0xFF and 0 <= ts <= _U32_MAX):
-        return _LAYOUT.pack(*frame)
+def encode_bsm(frame: tuple) -> bytes:
+    """The wire bytes of ``frame``: a ``BsmFrame`` or any tuple of its
+    fields in wire units.  ``struct`` enforces the field widths; a value
+    that does not fit, is not an integer, or is not a known msg_id or zone
+    id raises ``FrameError`` naming the first such field."""
+    try:
+        data = _pack(*frame)
+    except struct.error:
+        raise FrameError(_encode_error(frame)) from None
+    if frame[0] in _MSG_IDS and frame[7] <= _CZ_MAX:   # u16 keeps cz >= 0
+        return data
     raise FrameError(_encode_error(frame))
 
 

@@ -99,11 +99,6 @@ class HeadUnitCore:
         """Speed the plan followed holds through the merging zone."""
         return None if self.plan is None else self.plan.v_hold
 
-    @property
-    def leader_id(self) -> int | None:
-        """Vehicle the plan followed is scheduled behind."""
-        return None if self.plan_key is None else self.plan_key[1]
-
     # ------------------------------------------------------------------
     # per-tick planning
 
@@ -201,7 +196,7 @@ class HeadUnitCore:
         plan = plan_merge(self.dist, self.v_cmd, t, ap.mz_start, zone, tm, self.bounds)
         if not plan.clean:
             self.clamped_plans += 1
-            log.warning("headunit: no clean plan at d=%.1f m; clamping", self.dist)
+            log.debug("headunit: no clean plan at d=%.1f m; clamping", self.dist)
         self.plan = plan
 
 

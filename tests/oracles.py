@@ -17,10 +17,15 @@ hold every row, group them by time step and by vehicle, and walk each group.
 The program computes the same results in one pass; these stay as they were
 so that every result, its order and its floats can be compared with ``==``.
 
-Last come the step loop's arithmetic written with builtin ``min``/``max``
+Then come the step loop's arithmetic written with builtin ``min``/``max``
 (``evaluate``, ``optimal_step``, ``baseline_step``) and the trace text of a
 whole row list at once (``trace_text``): the program's plain clamps and its
 batched, chunked trace writer must give the same bits and bytes.
+
+Last is the reference quantizer of safety-message frames
+(``frame_from_state``) and the frame of each trace row built with it
+(``frames_from_trace``): the replay's wire tuples must encode to the same
+bytes, and fail with the same messages.
 """
 
 from __future__ import annotations
@@ -37,11 +42,13 @@ from corridorsim.metrics import STOP_SPEED, TRACE_HEADER, Metrics
 from corridorsim.trajectory import (BoundaryConditions, DegenerateHorizonError,
                                     EvaluationWindowError, InfeasibleHorizonError,
                                     solve_bounded)
+from corridorsim.v2x.bsm import DIST_UNIT, MSG_BSM, SPEED_UNIT, BsmFrame
 
 __all__ = ["DiscreteSolution", "solve_discrete", "solve_discrete_bounded",
            "clean_horizons", "least_clean_horizon",
            "compute_metrics", "rear_end_check", "occupancy_from_trace",
-           "evaluate", "optimal_step", "baseline_step", "trace_text"]
+           "evaluate", "optimal_step", "baseline_step", "trace_text",
+           "frame_from_state", "frames_from_trace"]
 
 
 @dataclass(frozen=True)
@@ -464,3 +471,43 @@ def baseline_step(vehicle, leader, params, ctx) -> float:
     if ctx.yield_blocked and ctx.line_gap is not None:
         u = min(u, free - _idm_brake(v, params, max(ctx.line_gap, 0.01), v))
     return min(max(u, ctx.bounds.u_min), ctx.bounds.u_max)
+
+
+# ---------------------------------------------------------------------------
+# safety-message frames from SI values, one row at a time
+
+
+def frame_from_state(vehicle_id: int, speed: float, tm: float, dist: float,
+                     cz: int, seq: int, timestamp: float) -> BsmFrame:
+    """Quantize SI values (m/s, s, m) into a frame in wire units.
+
+    Negative speed and distance clamp to zero; ``round`` halves to even;
+    the sequence number wraps at 256.  No range is checked here.
+    """
+    return BsmFrame(msg_id=MSG_BSM, vehicle_id=vehicle_id,
+                    speed_code=round(max(speed, 0.0) / SPEED_UNIT),
+                    tm_ms=round(tm * 1000.0),
+                    dist_dm=round(max(dist, 0.0) / DIST_UNIT),
+                    cz=cz, seq=seq & 0xFF,
+                    timestamp_ms=round(timestamp * 1000.0))
+
+
+def frames_from_trace(rows: list[tuple], config: CorridorConfig,
+                      schedule: list | None = None) -> list[BsmFrame]:
+    """One frame per trace row: distance to the row's MZ line and the
+    scheduled merging time inside a zone, zeros outside one, and each
+    vehicle's rows counted for its sequence number."""
+    mz = {(route.name, zone.index): ap.mz_start
+          for route in config.routes for zone, ap in config.zones_on(route.name)}
+    tm = {(e.vehicle_id, e.zone): e.tm for e in schedule or ()}
+    count: dict[int, int] = defaultdict(int)
+    frames = []
+    for t, vid, route, s, v, _u, zone in rows:
+        if zone > 0:
+            frame = frame_from_state(vid, v, tm.get((vid, zone), 0.0),
+                                     mz[(route, zone)] - s, zone, count[vid], t)
+        else:
+            frame = frame_from_state(vid, v, 0.0, 0.0, zone, count[vid], t)
+        count[vid] += 1
+        frames.append(frame)
+    return frames

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corridorsim.v2x.bsm import (
+    DIST_UNIT,
     FRAME_SIZE,
     MSG_BSM,
     MSG_SPAT,
@@ -12,6 +13,7 @@ from corridorsim.v2x.bsm import (
     decode_bsm,
     encode_bsm,
 )
+from oracles import frame_from_state
 
 
 def test_worked_example_roundtrip():
@@ -23,7 +25,7 @@ def test_worked_example_roundtrip():
     back = decode_bsm(wire)
     assert back == frame
     assert back.speed_mps == pytest.approx(13.4)
-    assert back.dist_m == pytest.approx(52.3)
+    assert back.dist_dm * DIST_UNIT == pytest.approx(52.3)
     assert back.tm_s == pytest.approx(11.2)
 
 
@@ -85,7 +87,7 @@ def test_phase_marker_keeps_only_id_and_timestamp():
 
 
 # every range check, with the exact message it raises; where two fields are
-# out of range the first in field order names the error
+# out of range, or not integers, the first in field order names the error
 ENCODE_ERRORS = [
     (dict(msg_id=0x20), "unknown msg_id 0x20"),
     (dict(vehicle_id=-1), "vehicle_id out of u32 range"),
@@ -102,13 +104,24 @@ ENCODE_ERRORS = [
     (dict(timestamp_ms=2**32), "timestamp out of u32 range"),
     (dict(msg_id=0x20, cz=7), "unknown msg_id 0x20"),
     (dict(speed_code=-1, seq=256), "speed out of u16 range"),
+    (dict(speed_code=1.5), "speed_code is not an integer: 1.5"),
+    (dict(vehicle_id="7"), "vehicle_id is not an integer: '7'"),
+    (dict(cz=None), "cz is not an integer: None"),
+    (dict(msg_id=0x20, speed_code=1.5), "unknown msg_id 0x20"),
+    (dict(vehicle_id=2.0, cz=7), "vehicle_id is not an integer: 2.0"),
+    (dict(dist_dm=-1, timestamp_ms=0.5), "distance out of u16 range"),
 ]
 
 
 def test_encode_range_checks():
     for fields, message in ENCODE_ERRORS:
-        with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
-            encode_bsm(BsmFrame(**fields))
+        frame = BsmFrame(**fields)
+        for given in (frame, tuple(frame)):    # a plain field tuple encodes alike
+            with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
+                encode_bsm(given)
+    with pytest.raises(FrameError, match=r"^frame has 9 fields, expected 10$"):
+        encode_bsm(tuple(BsmFrame())[:9])
+    assert encode_bsm(tuple(BsmFrame(cz=3))) == encode_bsm(BsmFrame(cz=3))
 
 
 def _wire(**fields) -> bytes:
@@ -138,12 +151,13 @@ def test_field_order_and_defaults():
 
 
 def test_golden_wire_bytes():
-    # hex recorded from the frozen-dataclass codec; from_state rounds half to even
+    # hex recorded from the frozen-dataclass codec; the reference quantizer
+    # rounds half to even
     frames = [
-        BsmFrame.from_state(vehicle_id=42, speed=13.407, tm=11.2004, dist=52.34,
-                            cz=1, seq=300, timestamp=0.1),
-        BsmFrame.from_state(vehicle_id=4_000_000_000, speed=0.03, tm=-2.5e-3,
-                            dist=6553.46, cz=3, seq=255, timestamp=4294967.2945),
+        frame_from_state(vehicle_id=42, speed=13.407, tm=11.2004, dist=52.34,
+                         cz=1, seq=300, timestamp=0.1),
+        frame_from_state(vehicle_id=4_000_000_000, speed=0.03, tm=-2.5e-3,
+                         dist=6553.46, cz=3, seq=255, timestamp=4294967.2945),
         BsmFrame(msg_id=MSG_SPAT, vehicle_id=99, speed_code=500, timestamp_ms=123456),
     ]
     assert [encode_bsm(f).hex() for f in frames] == [
@@ -157,15 +171,15 @@ def test_golden_wire_bytes():
 
 
 def test_from_state_quantizes():
-    frame = BsmFrame.from_state(vehicle_id=1, speed=13.407, tm=11.2004,
-                                dist=52.34, cz=1, seq=300, timestamp=0.1)
+    frame = frame_from_state(vehicle_id=1, speed=13.407, tm=11.2004,
+                             dist=52.34, cz=1, seq=300, timestamp=0.1)
     assert frame.speed_code == 670
     assert frame.tm_ms == 11200
     assert frame.dist_dm == 523
     assert frame.seq == 300 & 0xFF
     # negative kinematics clamp to zero rather than wrapping
-    clamped = BsmFrame.from_state(vehicle_id=1, speed=-0.3, tm=0.0,
-                                  dist=-2.0, cz=0, seq=0, timestamp=0.0)
+    clamped = frame_from_state(vehicle_id=1, speed=-0.3, tm=0.0,
+                               dist=-2.0, cz=0, seq=0, timestamp=0.0)
     assert clamped.speed_code == 0 and clamped.dist_dm == 0
 
 

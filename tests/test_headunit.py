@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import logging
 import math
 import random
 import threading
@@ -14,6 +15,7 @@ from corridorsim.v2x.headunit import (
     HeadUnitCore, command_stream, run_over_socket, socket_frames)
 from corridorsim.v2x.replay import frames_from_trace, publish_frames
 from corridorsim.trajectory import terminal_speed
+from oracles import frame_from_state
 
 BENCH = "configs/bench.yaml"
 V40 = 17.8816  # 40 mph
@@ -26,8 +28,8 @@ def cfg():
 
 
 def leader_frame(vid, dist, tm, speed=13.4, cz=1, ts=0.0):
-    return BsmFrame.from_state(vehicle_id=vid, speed=speed, tm=tm,
-                               dist=dist, cz=cz, seq=0, timestamp=ts)
+    return frame_from_state(vehicle_id=vid, speed=speed, tm=tm,
+                            dist=dist, cz=cz, seq=0, timestamp=ts)
 
 
 class TestLeaderSelection:
@@ -37,7 +39,7 @@ class TestLeaderSelection:
         for f in frames:
             core.ingest(f, 0.0)
         core.tick(0.0)
-        return core.leader_id
+        return core.plan_key[1]     # the leader the plan is for
 
     def test_closest_ahead_wins_and_order_is_irrelevant(self, cfg):
         frames = [
@@ -90,16 +92,19 @@ def test_no_leader_at_limit_is_passthrough(cfg):
     for k in range(5):
         cmd = core.tick(0.1 * k)
         assert math.isclose(cmd, V40, abs_tol=1e-9)
-    assert core.leader_id is None and core.replans == 1
+    assert core.plan_key[1] is None and core.replans == 1
 
 
-def test_unreachable_merge_runs_the_clamped_partial_plan(cfg):
+def test_unreachable_merge_runs_the_clamped_partial_plan(cfg, caplog):
     # 5 m before zone 2's MZ line at 40 mph: no merging time gives a clean
     # plan down to 18.6 mph
     core = HeadUnitCore(cfg)
     core.dist = 695.0
-    core.tick(0.0)
+    with caplog.at_level(logging.DEBUG, logger="corridorsim"):
+        core.tick(0.0)
     assert core.replans == 1 and core.clamped_plans == 1
+    # the counter is the record; the plan logs at debug, never as a warning
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
     assert core.plan is not None
     assert core.v_hold == max(terminal_speed(core.plan.coeffs), 0.05)
 
@@ -127,7 +132,7 @@ def test_stale_feed_holds_last_command(cfg):
     # fresh traffic revives planning
     core.ingest(leader_frame(8, 40.0, 8.0, ts=1.7), 1.7)
     core.tick(1.8)
-    assert not core.stale and core.leader_id == 8
+    assert not core.stale and core.plan_key[1] == 8
 
 
 class StubClient:
@@ -196,9 +201,9 @@ def test_command_stream_tick_grid():
     cfg = load_config_file(BENCH)
     core = HeadUnitCore(cfg)
     frames = [
-        BsmFrame.from_state(1, 10.0, 5.0, 40.0, 1, 0, timestamp=0.0),
-        BsmFrame.from_state(1, 10.0, 5.0, 39.0, 1, 1, timestamp=0.1),
-        BsmFrame.from_state(1, 10.0, 5.0, 38.0, 1, 2, timestamp=0.2),
+        frame_from_state(1, 10.0, 5.0, 40.0, 1, 0, timestamp=0.0),
+        frame_from_state(1, 10.0, 5.0, 39.0, 1, 1, timestamp=0.1),
+        frame_from_state(1, 10.0, 5.0, 38.0, 1, 2, timestamp=0.2),
     ]
     out = list(command_stream(iter(frames), core, rate=10.0))
     assert [round(t, 6) for t, _ in out] == [0.0, 0.1, 0.2]

@@ -4,6 +4,7 @@ integrator invariants, safety checks on whole traces, determinism."""
 import bisect
 import dataclasses
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -214,6 +215,16 @@ def test_plan_merge_without_a_clean_horizon_runs_the_partial_at_the_booked_tm():
     assert plan.clean is False
     assert plan.tm == 5.0 / v and plan.coeffs.tm == plan.tm
     assert plan.v_hold == max(terminal_speed(plan.coeffs), 0.05)
+
+
+def test_unclean_plans_are_counted_not_warned(caplog):
+    # bench geometry seed 2 books three merges with no clean horizon
+    cfg = dataclasses.replace(load_config_file("configs/bench.yaml"), seed=2)
+    with caplog.at_level(logging.DEBUG, logger="corridorsim"):
+        res = sim.run(cfg)
+    assert res.events["relax_exhausted"] == 3
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert sum("no clean plan" in r.getMessage() for r in caplog.records) == 3
 
 
 def test_least_float_snaps_near_the_switch_and_raises_far_from_it():
