@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from corridorsim.core import Bounds, ConflictZoneSpec
@@ -19,7 +19,6 @@ __all__ = [
     "RELATION_SAME_LANE",
     "RELATION_CONFLICT_LANE",
     "ScheduleEntry",
-    "MzOccupancy",
     "OccupancyInterval",
     "ConflictPair",
     "DuplicateRegistrationError",
@@ -67,14 +66,6 @@ class OccupancyInterval:
     lane: str
 
 
-@dataclass
-class MzOccupancy:
-    """All merging-zone intervals booked for one zone, kept after release."""
-
-    zone: int
-    intervals: list[OccupancyInterval] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class ConflictPair:
     zone: int
@@ -113,15 +104,17 @@ def merging_time(t0: float, v0: float, dist: float,
     return t0 + max(min(candidate, ceiling), floor_v0, floor_vmax), truncated
 
 
-def occupancy_check(occ: MzOccupancy, tol: float = 1e-9) -> list[ConflictPair]:
-    """All pairs of cross-lane intervals that overlap in time.
+def occupancy_check(zone: int, intervals: list[OccupancyInterval],
+                    tol: float = 1e-9) -> list[ConflictPair]:
+    """All pairs of cross-lane intervals of merging zone ``zone`` that
+    overlap in time by more than ``tol``.
 
     Same-lane pairs are exempt: following through the MZ is legal and the
     rear-end check owns that spacing. Intervals are half-open, so touching
     endpoints do not conflict.
     """
     pairs: list[ConflictPair] = []
-    ivs = sorted(occ.intervals, key=lambda iv: iv.t_enter)
+    ivs = sorted(intervals, key=lambda iv: iv.t_enter)
     for i, a in enumerate(ivs):
         for b in ivs[i + 1:]:
             if b.t_enter >= a.t_exit - tol:
@@ -131,8 +124,7 @@ def occupancy_check(occ: MzOccupancy, tol: float = 1e-9) -> list[ConflictPair]:
             start = max(a.t_enter, b.t_enter)
             end = min(a.t_exit, b.t_exit)
             if end - start > tol:
-                pairs.append(ConflictPair(occ.zone, a.vehicle_id, b.vehicle_id,
-                                          start, end))
+                pairs.append(ConflictPair(zone, a.vehicle_id, b.vehicle_id, start, end))
     return pairs
 
 
@@ -158,10 +150,9 @@ class ZoneCoordinator:
         return len(self._by_id)
 
     @property
-    def occupancy(self) -> MzOccupancy:
+    def occupancy(self) -> list[OccupancyInterval]:
         """Booked MZ intervals of every registration, released ones included."""
-        return MzOccupancy(self.zone.index, [
-            OccupancyInterval(e.vehicle_id, e.tm, e.tf, e.lane) for e in self.history])
+        return [OccupancyInterval(e.vehicle_id, e.tm, e.tf, e.lane) for e in self.history]
 
     def entry(self, vehicle_id: int) -> ScheduleEntry:
         try:

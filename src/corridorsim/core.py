@@ -27,7 +27,6 @@ __all__ = [
     "SpawnParams",
     "CorridorConfig",
     "VehicleState",
-    "mph_to_mps",
     "load_config",
     "load_config_file",
     "serialize_config",
@@ -46,13 +45,6 @@ class ConfigError(ValueError):
     def __init__(self, message: str, path: str = ""):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
-
-
-def mph_to_mps(value: float) -> float:
-    """Convert miles per hour to meters per second (exact factor 0.44704)."""
-    if value < 0:
-        raise ValueError("speed must be non-negative")
-    return value * MPH_IN_MPS
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +223,6 @@ class CorridorConfig:
 
     def route(self, name: str) -> RouteSpec:
         return self._by_name[name]
-
-    @property
-    def flows(self) -> dict[str, float]:
-        """Spawn rate per route in vehicles/second."""
-        return {r.name: r.flow_vps for r in self.routes}
 
     def zones_on(self, route: str) -> tuple[tuple[ConflictZoneSpec, Approach], ...]:
         """Zones fed by ``route`` ordered by CZ start position."""

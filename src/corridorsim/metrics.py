@@ -30,7 +30,7 @@ from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
-from corridorsim.coordinator import MzOccupancy, OccupancyInterval, ScheduleEntry, occupancy_check
+from corridorsim.coordinator import OccupancyInterval, ScheduleEntry, occupancy_check
 from corridorsim.core import CorridorConfig
 
 __all__ = [
@@ -58,6 +58,8 @@ TRACE_HEADER = "t,id,route,s,v,u,zone"
 _HEADER_BYTES = TRACE_HEADER.encode()
 SCHEDULE_HEADER = "vehicle,zone,t0,tm,tf,v_at_tm,relation,lane,truncated"
 STOP_SPEED = 0.1
+_REAR_END_TOL = 1e-6    # m of headway gap shortfall the rear-end check forgives
+_OCCUPANCY_TOL = 1e-2   # s of trace-interpolated MZ overlap the lateral check forgives
 
 
 _ROW_FORMAT = "%.3f,%d,%s,%.9f,%.9f,%.9f,%d\n"
@@ -70,19 +72,11 @@ def _rows_text(rows: list[tuple]) -> str:
     return "".join([_ROW_FORMAT % row for row in rows])
 
 
-def _trace_text(rows: list[tuple]):
-    yield TRACE_HEADER + "\n"
-    for i in range(0, len(rows), _CHUNK_ROWS):
-        yield _rows_text(rows[i:i + _CHUNK_ROWS])
-
-
 def write_trace(path: str, rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.writelines(_trace_text(rows))
-
-
-def trace_bytes(rows: list[tuple]) -> bytes:
-    return "".join(_trace_text(rows)).encode()
+        fh.write(TRACE_HEADER + "\n")
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            fh.write(_rows_text(rows[i:i + _CHUNK_ROWS]))
 
 
 def _write_rows(fh, rows: list[tuple], consume) -> None:
@@ -462,14 +456,16 @@ def summarize(runs: list[Metrics]) -> dict:
 # safety checks
 
 
-def rear_end_check(steps: Iterable[tuple[float, list[tuple]]], config: CorridorConfig,
-                   tol: float = 1e-6) -> list[tuple]:
+def rear_end_check(steps: Iterable[tuple[float, list[tuple]]],
+                   config: CorridorConfig) -> list[tuple]:
     """Headway violations: same-route consecutive pairs everywhere, plus
     cross-route pairs inside the merging zone of a shared-lane zone. The
-    required gap is headway * follower speed. Takes the trace a time step
-    at a time (``read_steps``, or ``by_step`` of in-memory rows) and holds one
-    step. Returns (t, follower, leader, gap, required) tuples."""
+    required gap is headway * follower speed; a gap short of it by up to
+    ``_REAR_END_TOL`` passes. Takes the trace a time step at a time
+    (``read_steps``, or ``by_step`` of in-memory rows) and holds one step.
+    Returns (t, follower, leader, gap, required) tuples."""
     h = config.headway
+    tol = _REAR_END_TOL
     shared = [zone for zone in config.zones if zone.shared_lane]
     violations = []
     for t, rows in steps:
@@ -586,15 +582,15 @@ def _crossing_time(vrows: list[tuple], boundary: float) -> float | None:
     return None
 
 
-def occupancy_from_trace(rows: Iterable[tuple], config: CorridorConfig,
-                         tol: float = 1e-2) -> list:
+def occupancy_from_trace(rows: Iterable[tuple], config: CorridorConfig) -> list:
     """Lateral-exclusion check on actual motion: merging-zone entry and exit
     times are interpolated from the trace, vehicles still inside at the end
     of the data are treated as occupying until the last timestamp, and
     overlapping cross-lane stays are reported via the same pairwise check
-    the coordinator uses. The tolerance absorbs interpolation error so
-    touching intervals stay legal. ``rows`` are in time order: every row of
-    a trace, or those an ``OccupancyRows`` kept from it."""
+    the coordinator uses. Its tolerance, ``_OCCUPANCY_TOL``, absorbs
+    interpolation error so touching intervals stay legal. ``rows`` are in
+    time order: every row of a trace, or those an ``OccupancyRows`` kept
+    from it."""
     kept = OccupancyRows(config)
     kept.add(rows)
     by_vehicle = kept.per_vehicle()
@@ -619,8 +615,7 @@ def occupancy_from_trace(rows: Iterable[tuple], config: CorridorConfig,
                     t_out = t_end
                 intervals.append(OccupancyInterval(vehicle_id=vid, t_enter=t_in,
                                                    t_exit=t_out, lane=ap.lane))
-        occ = MzOccupancy(zone=zone.index, intervals=intervals)
-        conflicts.extend(occupancy_check(occ, tol=tol))
+        conflicts.extend(occupancy_check(zone.index, intervals, _OCCUPANCY_TOL))
     return conflicts
 
 

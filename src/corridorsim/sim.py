@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -48,7 +48,7 @@ from corridorsim.trajectory import (
 )
 
 __all__ = [
-    "Spawner",
+    "arrival_times",
     "StepContext",
     "baseline_step",
     "MergePlan",
@@ -74,42 +74,26 @@ GOVERNOR_MARGIN = 0.01     # m kept above the headway envelope by the governor
 # spawning
 
 
-class Spawner:
-    """Pre-generated Poisson arrival streams, one independent seeded stream
-    per route so adding a route never perturbs the others."""
-
-    def __init__(self, config: CorridorConfig):
-        self.config = config
-        self._pending: dict[str, list[float]] = {}
-        for idx, route in enumerate(config.routes):
-            if config.spawn.probe_only:
-                times = [0.0] if route.name == config.main_route else []
-            else:
-                times = self._draw(config.seed, idx, route.flow_vps, config.horizon)
-            self._pending[route.name] = times
-
-    @staticmethod
-    def _draw(seed: int, route_index: int, rate: float, horizon: float) -> list[float]:
-        if rate <= 0:
-            return []
-        import numpy as np   # here, so verbs that never spawn skip its import
-        rng = np.random.default_rng(np.random.SeedSequence([seed, route_index]))
-        times = []
-        t = float(rng.exponential(1.0 / rate))
-        while t < horizon:
-            times.append(t)
-            t += float(rng.exponential(1.0 / rate))
-        return times
-
-    def arrival_times(self, route: str) -> list[float]:
-        return list(self._pending[route])
-
-    def due(self, route: str, t: float) -> bool:
-        q = self._pending[route]
-        return bool(q) and q[0] <= t
-
-    def pop(self, route: str) -> float:
-        return self._pending[route].pop(0)
+def arrival_times(config: CorridorConfig, route_index: int) -> list[float]:
+    """Spawn times of ``config.routes[route_index]`` before the horizon, in
+    order: a Poisson stream of the route's flow from its own seeded
+    generator, so adding a route never perturbs the others. With
+    ``spawn.probe_only`` the main route spawns once, at 0 s, and no other
+    route spawns."""
+    route = config.routes[route_index]
+    if config.spawn.probe_only:
+        return [0.0] if route.name == config.main_route else []
+    rate = route.flow_vps
+    if rate <= 0:
+        return []
+    import numpy as np   # here, so verbs that never spawn skip its import
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, route_index]))
+    times = []
+    t = float(rng.exponential(1.0 / rate))
+    while t < config.horizon:
+        times.append(t)
+        t += float(rng.exponential(1.0 / rate))
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +103,16 @@ class Spawner:
 class StepContext(NamedTuple):
     """Per-vehicle snapshot data the baseline follower needs beyond its own
     route leader: desired speed, upcoming limit drops, the projected
-    cross-route leader inside a shared-lane merging zone, and yield state."""
+    cross-route leader inside a shared-lane merging zone, and, for a
+    vehicle that must yield at the merging-zone line, its distance to the
+    stop point."""
 
     v_des: float
     dt: float
     bounds: Bounds
     limit_cuts: tuple[tuple[float, float], ...] = ()   # (distance, lower limit)
     projected: Optional[tuple[float, float]] = None     # (gap, leader speed)
-    yield_blocked: bool = False
-    line_gap: Optional[float] = None                    # distance to the stop point
+    line_gap: Optional[float] = None                    # distance to the stop point, if yielding
 
 
 # b if b > a else a is max(a, b) and b if b < a else a is min(a, b), signed
@@ -171,7 +156,7 @@ def baseline_step(vehicle: VehicleState, leader: Optional[VehicleState],
                     w = -b
                 if w < u:
                     u = w
-    if ctx.yield_blocked and ctx.line_gap is not None:
+    if ctx.line_gap is not None:
         gap = ctx.line_gap
         w = free - _idm_brake(v, params, 0.01 if 0.01 > gap else gap, v)
         if w < u:
@@ -303,10 +288,6 @@ class SimResult:
     exited: int
     active_at_end: int
 
-    @property
-    def conserved(self) -> bool:
-        return self.spawned == self.exited + self.active_at_end
-
 
 def _least_float(pred, guess: float) -> float:
     """Least float at which ``pred`` holds, for a predicate that is false
@@ -349,7 +330,8 @@ class _Slot:
 
 
 class _Route:
-    """Per-route lookups built once, and the route's vehicles front first.
+    """Per-route lookups built once, the route's vehicles front first, and
+    its arrival times (``arrival_times``) not yet spawned, next first.
 
     ``cells[bisect_right(edges, s)]`` is (zone column, the slots whose window
     -cz_length <= s - mz_start < mz_length holds s, the first slot whose
@@ -360,7 +342,7 @@ class _Route:
     limit and the cut index at every float.
     """
 
-    def __init__(self, spec: RouteSpec, slots: list[_Slot]):
+    def __init__(self, spec: RouteSpec, slots: list[_Slot], arrivals: list[float]):
         self.name = spec.name
         self.spec = spec
         self.end = spec.length - 1e-9
@@ -370,6 +352,7 @@ class _Route:
                           if lim < prev)
         self.slots = slots
         self.order: list[VehicleState] = []
+        self.arrivals = deque(arrivals)
         wins = []
         for sl in slots:
             zone, ap = sl.zone, sl.ap
@@ -406,9 +389,9 @@ class Simulation:
         self.cfg = config
         self.bounds = config.bounds
         self.dt = config.dt
-        self.spawner = Spawner(config)
-        self.routes = [_Route(r, [_Slot(zone, ap, config) for zone, ap in config.zones_on(r.name)])
-                       for r in config.routes]
+        self.routes = [_Route(r, [_Slot(zone, ap, config) for zone, ap in config.zones_on(r.name)],
+                              arrival_times(config, i))
+                       for i, r in enumerate(config.routes)]
         self.slots = [sl for rt in self.routes for sl in rt.slots]
         for sl in self.slots:
             sl.peers = tuple(o for ap in sl.zone.approaches if ap.route != sl.ap.route
@@ -428,7 +411,8 @@ class Simulation:
         b = -self.bounds.u_min
         h = self.cfg.headway
         for rt in self.routes:
-            while self.spawner.due(rt.name, t):
+            arrivals = rt.arrivals
+            while arrivals and arrivals[0] <= t:
                 v0 = rt.v_enter
                 order = rt.order
                 if order:
@@ -446,7 +430,7 @@ class Simulation:
                         self.events["spawn_withheld"] += 1
                         break
                     v0 = min(v0, v_safe)
-                self.spawner.pop(rt.name)
+                arrivals.popleft()
                 order.append(VehicleState(vehicle_id=self._next_id, route=rt.name,
                                           s=0.0, v=v0))
                 self._next_id += 1
@@ -560,7 +544,7 @@ class Simulation:
                     blocked = self._conflict_blocked(v, x, slot)
             if blocked:
                 line_gap = slot.stop_at - s
-        return StepContext(cell[3], self.dt, self.bounds, cuts, projected, blocked, line_gap)
+        return StepContext(cell[3], self.dt, self.bounds, cuts, projected, line_gap)
 
     def _same_lane_blocked(self, v: float, x: float, others) -> bool:
         p = self.cfg.baseline

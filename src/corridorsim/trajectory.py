@@ -242,11 +242,6 @@ def check_feasibility(coeffs: TrajectoryCoefficients, bounds: Bounds,
 # speed-arc piecing
 
 
-def _entry_arc(bc: BoundaryConditions, v_b: float, t1: float) -> ArcSegment:
-    a1 = 2.0 * (bc.v0 - v_b) / (t1 * t1)
-    return ArcSegment(ARC_UNCONSTRAINED, bc.t0, bc.t0 + t1, a1, -a1 * t1, bc.v0, bc.p0)
-
-
 def _arc_spans(free: float, v0_off: float, vt_off: Optional[float]
                ) -> Optional[tuple[Optional[float], Optional[float]]]:
     """Spans (T1, T3) of the entry and exit arcs around a cruise arc at a
@@ -276,11 +271,14 @@ def solve_with_speed_arc(bc: BoundaryConditions, bounds: Bounds,
                          which: str) -> TrajectoryCoefficients:
     """Piece the plan with a constant-speed arc riding v_max or v_min.
 
+    The layout is an entry arc, the cruise arc and an exit arc, where
+    ``_arc_spans`` says which arcs the plan has and how long they are.
     Junctions are smooth: v equals the bound and u equals zero where the
     unconstrained arcs meet the cruise arc, and the entry/exit control
-    slopes are equal (the position costate is constant across arcs). Raises
-    InfeasibleHorizonError when no switch times fit the window; the caller
-    adjusts tm and retries.
+    slopes are equal (the position costate is constant across arcs). A
+    lone entry or exit arc whose span lies just outside the window is
+    clamped into it. Raises InfeasibleHorizonError when no switch times fit
+    the window; the caller adjusts tm and retries.
     """
     if which not in ("v_max", "v_min"):
         raise ValueError("which must be 'v_max' or 'v_min'")
@@ -294,58 +292,46 @@ def solve_with_speed_arc(bc: BoundaryConditions, bounds: Bounds,
     vt = bc.terminal_speed
     vt_off = None if vt is None else vt - v_b
 
-    def cruise_only() -> TrajectoryCoefficients:
-        if abs(dp - v_b * t) > _POS_TOL:
-            raise InfeasibleHorizonError(
-                f"cruise at {v_b:.3f} m/s covers {v_b * t:.3f} m, needs {dp:.3f} m")
-        seg = ArcSegment(cruise_kind, bc.t0, bc.tm, 0.0, 0.0, v_b, bc.p0)
-        return TrajectoryCoefficients(bc.t0, bc.tm, (seg,))
-
     spans = _arc_spans(3.0 * (dp - v_b * t), v0_off, vt_off)
     if spans is None:
         raise InfeasibleHorizonError(
             "boundary speeds straddle the bound; no single cruise arc fits")
     t1, t3 = spans
-
     if t1 is None and t3 is None:
-        return cruise_only()
-
-    if t1 is None:
-        # cruise from t0, single exit arc to the fixed terminal speed
-        if t3 < -_TIME_EPS or t3 > t + _TIME_EPS:
-            raise InfeasibleHorizonError(f"exit arc span {t3:.3f} s outside window {t:.3f} s")
-        t3 = min(max(t3, _MIN_HORIZON), t)
-        d_cruise = v_b * (t - t3)
-        a3 = 2.0 * vt_off / (t3 * t3)
-        cruise = ArcSegment(cruise_kind, bc.t0, bc.tm - t3, 0.0, 0.0, v_b, bc.p0)
-        exit_arc = ArcSegment(ARC_UNCONSTRAINED, bc.tm - t3, bc.tm,
-                              a3, 0.0, v_b, bc.p0 + d_cruise)
-        return TrajectoryCoefficients(bc.t0, bc.tm, (cruise, exit_arc))
-
-    if t3 is None:
-        # entry arc, then cruise rides the bound to tm (free terminal lands
-        # on the bound; fixed terminal equal to the bound is the same shape)
-        if t1 < -_TIME_EPS or t1 > t + _TIME_EPS:
-            raise InfeasibleHorizonError(f"entry arc span {t1:.3f} s outside window {t:.3f} s")
-        t1 = min(max(t1, _MIN_HORIZON), t)
-        entry = _entry_arc(bc, v_b, t1)
-        d_entry = t1 * (bc.v0 + 2.0 * v_b) / 3.0
-        cruise = ArcSegment(cruise_kind, bc.t0 + t1, bc.tm, 0.0, 0.0, v_b, bc.p0 + d_entry)
-        return TrajectoryCoefficients(bc.t0, bc.tm, (entry, cruise))
-
-    if t1 < _TIME_EPS or t3 < 0 or t1 + t3 > t + _TIME_EPS:
+        if abs(dp - v_b * t) > _POS_TOL:
+            raise InfeasibleHorizonError(
+                f"cruise at {v_b:.3f} m/s covers {v_b * t:.3f} m, needs {dp:.3f} m")
+    elif t1 is None or t3 is None:
+        span = t3 if t1 is None else t1
+        if span < -_TIME_EPS or span > t + _TIME_EPS:
+            raise InfeasibleHorizonError(f"{'exit' if t1 is None else 'entry'} arc span "
+                                         f"{span:.3f} s outside window {t:.3f} s")
+        span = min(max(span, _MIN_HORIZON), t)
+        t1, t3 = (None, span) if t1 is None else (span, None)
+    elif t1 < _TIME_EPS or t3 < 0 or t1 + t3 > t + _TIME_EPS:
         raise InfeasibleHorizonError(
             f"arc spans T1={t1:.3f} s, T3={t3:.3f} s do not fit window {t:.3f} s")
-    cruise_span = max(t - t1 - t3, 0.0)
-    entry = _entry_arc(bc, v_b, t1)
-    d_entry = t1 * (bc.v0 + 2.0 * v_b) / 3.0
-    d_cruise = v_b * cruise_span
-    a3 = 2.0 * vt_off / (t3 * t3)
-    cruise = ArcSegment(cruise_kind, bc.t0 + t1, bc.t0 + t1 + cruise_span,
-                        0.0, 0.0, v_b, bc.p0 + d_entry)
-    exit_arc = ArcSegment(ARC_UNCONSTRAINED, bc.tm - t3, bc.tm,
-                          a3, 0.0, v_b, bc.p0 + d_entry + d_cruise)
-    return TrajectoryCoefficients(bc.t0, bc.tm, (entry, cruise, exit_arc))
+
+    segments = []
+    start, p = bc.t0, bc.p0     # the cruise arc's start
+    if t1 is not None:
+        a1 = 2.0 * v0_off / (t1 * t1)
+        start = bc.t0 + t1
+        segments.append(ArcSegment(ARC_UNCONSTRAINED, bc.t0, start, a1, -a1 * t1, bc.v0, bc.p0))
+        p += t1 * (bc.v0 + 2.0 * v_b) / 3.0
+    if t3 is None:
+        segments.append(ArcSegment(cruise_kind, start, bc.tm, 0.0, 0.0, v_b, p))
+    else:
+        if t1 is None:
+            cruise_span = t - t3
+            end = bc.tm - t3
+        else:
+            cruise_span = max(t - t1 - t3, 0.0)
+            end = start + cruise_span
+        segments.append(ArcSegment(cruise_kind, start, end, 0.0, 0.0, v_b, p))
+        segments.append(ArcSegment(ARC_UNCONSTRAINED, bc.tm - t3, bc.tm,
+                                   2.0 * vt_off / (t3 * t3), 0.0, v_b, p + v_b * cruise_span))
+    return TrajectoryCoefficients(bc.t0, bc.tm, tuple(segments))
 
 
 def _roots(qa: float, qb: float, qc: float) -> list[float]:

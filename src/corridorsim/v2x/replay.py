@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
+from math import isfinite
 from typing import Iterable, Iterator
 
 from corridorsim.coordinator import ScheduleEntry
@@ -52,14 +53,23 @@ def wire_fields(
     its rows modulo 256.  Merging times come from the schedule sidecar
     keyed by (vehicle, zone); rows without a schedule entry (baseline
     traces) carry a zero merging time, and rows outside any zone a zero
-    merging time and distance.  A row in a zone its route does not pass
-    raises ``ValueError``.  Fields are not range-checked: ``encode_bsm``
-    does that.
+    merging time and distance.  A row whose time, position or speed is not
+    finite, or that is in a zone its route does not pass, and a schedule
+    entry whose merging time is not finite raise ``ValueError``.  Fields
+    are not range-checked: ``encode_bsm`` does that.
     """
     mz_at = _mz_positions(config)
-    tm_at = {(e.vehicle_id, e.zone): e.tm for e in schedule or ()}
+    tm_at: dict[tuple[int, int], float] = {}
+    for e in schedule or ():
+        if not isfinite(e.tm):
+            raise ValueError(f"schedule: vehicle {e.vehicle_id} in zone {e.zone} has "
+                             f"merging time {e.tm!r} s; a frame needs a finite one")
+        tm_at[e.vehicle_id, e.zone] = e.tm
     seq: dict[int, int] = {}
     for t, vid, route, s, v, _u, zone in rows:
+        if not (isfinite(t) and isfinite(s) and isfinite(v)):
+            raise ValueError(f"trace row at t={t:.3f} s: vehicle {vid} has position "
+                             f"{s!r} m and speed {v!r} m/s; a frame needs finite values")
         n = seq.get(vid, 0)
         seq[vid] = (n + 1) & 0xFF
         speed = round((0.0 if v < 0.0 else v) / SPEED_UNIT)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from corridorsim.coordinator import MzOccupancy, OccupancyInterval, occupancy_check
+from corridorsim.coordinator import OccupancyInterval, occupancy_check
 from corridorsim.core import CorridorConfig
 from corridorsim.metrics import STOP_SPEED, TRACE_HEADER, Metrics
 from corridorsim.trajectory import (BoundaryConditions, DegenerateHorizonError,
@@ -400,8 +400,7 @@ def occupancy_from_trace(rows: list[tuple], config: CorridorConfig,
                     t_out = t_end
                 intervals.append(OccupancyInterval(vehicle_id=vid, t_enter=t_in,
                                                    t_exit=t_out, lane=ap.lane))
-        occ = MzOccupancy(zone=zone.index, intervals=intervals)
-        conflicts.extend(occupancy_check(occ, tol=tol))
+        conflicts.extend(occupancy_check(zone.index, intervals, tol=tol))
     return conflicts
 
 
@@ -468,7 +467,7 @@ def baseline_step(vehicle, leader, params, ctx) -> float:
     for dist, lim in ctx.limit_cuts:
         if v > lim + 1e-9 and dist <= (v * v - lim * lim) / (2.0 * b) + v * ctx.dt:
             u = min(u, max(-b, (lim - v) / ctx.dt))
-    if ctx.yield_blocked and ctx.line_gap is not None:
+    if ctx.line_gap is not None:
         u = min(u, free - _idm_brake(v, params, max(ctx.line_gap, 0.01), v))
     return min(max(u, ctx.bounds.u_min), ctx.bounds.u_max)
 

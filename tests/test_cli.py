@@ -188,6 +188,41 @@ def test_bench_reports_bad_input_but_not_planner_errors(tmp_path, capsys,
         main(["bench", "--config", BENCH, "--trace", trace, "--schedule", sched])
 
 
+@pytest.mark.parametrize("row, tm, message", [
+    ("0.000,1,main,0.000000000,inf,0.000000000,0", None,
+     "trace row at t=0.000 s: vehicle 1 has position 0.0 m and speed inf m/s"),
+    ("inf,1,main,0.000000000,10.000000000,0.000000000,0", None,
+     "trace row at t=inf s: vehicle 1 has position 0.0 m and speed 10.0 m/s"),
+    ("0.000,1,main,-inf,10.000000000,0.000000000,0", None,
+     "trace row at t=0.000 s: vehicle 1 has position -inf m and speed 10.0 m/s"),
+    ("0.000,1,main,0.000000000,10.000000000,0.000000000,0", "inf",
+     "schedule: vehicle 1 in zone 1 has merging time inf s"),
+])
+def test_a_value_that_is_not_finite_is_bad_input(tmp_path, capsys, row, tm, message):
+    # no frame carries an infinite time, position, speed or merging time:
+    # bench and replay exit 2 naming the value, as for a speed that
+    # overflows the frame
+    from corridorsim.v2x.broker import Broker
+
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,id,route,s,v,u,zone\n" + row + "\n")
+    sidecar = []
+    if tm is not None:
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text("vehicle,zone,t0,tm,tf,v_at_tm,relation,lane,truncated\n"
+                            f"1,1,0.0,{tm},30.0,10.0,none,main,0\n")
+        sidecar = ["--schedule", str(schedule)]
+    assert main(["bench", "--config", BENCH, "--trace", str(trace)] + sidecar) == 2
+    with Broker(port=0) as broker:
+        host, port = broker.address
+        assert main(["replay", "--config", BENCH, "--trace", str(trace),
+                     "--address", f"{host}:{port}", "--rate", "0"] + sidecar) == 2
+        assert broker.counters()["published"] == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {message}; a frame needs "
+                   + ("a finite one" if tm else "finite values")] * 2
+
+
 def test_headunit_verb_prints_its_counters(tmp_path, capsys):
     import dataclasses
     import threading

@@ -9,7 +9,6 @@ from corridorsim.core import Approach, Bounds, ConflictZoneSpec
 from corridorsim.coordinator import (
     ConflictPair,
     DuplicateRegistrationError,
-    MzOccupancy,
     OccupancyInterval,
     UnknownVehicleError,
     ZoneCoordinator,
@@ -146,7 +145,7 @@ def test_release_then_reregister_allowed(coordinator):
     entry = coordinator.register_arrival(1, t0=30.0, v0=13.4, lane="lane_a")
     assert entry.t0 == 30.0
     # both passages keep their occupancy history
-    assert sum(1 for iv in coordinator.occupancy.intervals if iv.vehicle_id == 1) == 2
+    assert sum(1 for iv in coordinator.occupancy if iv.vehicle_id == 1) == 2
 
 
 def test_follower_recursion_reads_the_predecessor_booking_as_it_stands(coordinator):
@@ -199,28 +198,28 @@ def test_truncation_counted(caplog):
 
 
 def test_same_lane_overlap_is_not_lateral_conflict():
-    occ = MzOccupancy(zone=1, intervals=[
+    intervals = [
         OccupancyInterval(1, 10.0, 13.0, "lane_a"),
         OccupancyInterval(2, 12.0, 15.0, "lane_a"),
-    ])
-    assert occupancy_check(occ) == []
+    ]
+    assert occupancy_check(1, intervals) == []
 
 
 def test_conflict_lane_overlap_reported():
-    occ = MzOccupancy(zone=1, intervals=[
+    intervals = [
         OccupancyInterval(1, 10.0, 13.0, "lane_a"),
         OccupancyInterval(2, 12.0, 15.0, "lane_b"),
-    ])
-    pairs = occupancy_check(occ)
+    ]
+    pairs = occupancy_check(1, intervals)
     assert pairs == [ConflictPair(1, 1, 2, 12.0, 13.0)]
 
 
 def test_touching_intervals_do_not_conflict():
-    occ = MzOccupancy(zone=1, intervals=[
+    intervals = [
         OccupancyInterval(1, 10.0, 12.0, "lane_a"),
         OccupancyInterval(2, 12.0, 15.0, "lane_b"),
-    ])
-    assert occupancy_check(occ) == []
+    ]
+    assert occupancy_check(1, intervals) == []
 
 
 def test_schedule_chain_keeps_conflict_lanes_disjoint():
@@ -239,7 +238,7 @@ def test_schedule_chain_keeps_conflict_lanes_disjoint():
             lane = "lane_a" if rng.random() < 0.6 else "lane_b"
             v0 = float(rng.uniform(0.85, 1.0)) * 11.176
             coord.register_arrival(vid, t0=t, v0=v0, lane=lane)
-        assert occupancy_check(coord.occupancy) == []
+        assert occupancy_check(zone.index, coord.occupancy) == []
 
 
 def test_schedule_is_fifo_monotone_and_clamped():

@@ -13,7 +13,6 @@ from corridorsim.core import (
     RouteSpec,
     load_config,
     load_config_file,
-    mph_to_mps,
     parse_quantity,
     serialize_config,
 )
@@ -26,12 +25,12 @@ def table1_text():
 
 
 def test_mph_conversion_values():
-    assert mph_to_mps(40.0) == pytest.approx(17.8816, abs=1e-12)
-    assert mph_to_mps(25.0) == pytest.approx(11.176, abs=1e-12)
-    assert mph_to_mps(18.6) == pytest.approx(8.314944, abs=1e-12)
-    assert mph_to_mps(0.0) == 0.0
-    with pytest.raises(ValueError):
-        mph_to_mps(-5.0)
+    # the exact factor 0.44704; a negative limit is the loader's to reject
+    for mph, mps in ((40.0, 17.8816), (25.0, 11.176), (18.6, 8.314944), (0.0, 0.0)):
+        assert parse_quantity(f"{mph} mph", "speed", "x") == pytest.approx(mps, abs=1e-12)
+    doc = table1_text().replace("limit: 18.6 mph", "limit: -5 mph", 1)
+    with pytest.raises(ConfigError, match="segment limit must be strictly positive"):
+        load_config(doc)
 
 
 def test_quantity_parsing():
@@ -54,7 +53,7 @@ def test_table1_document_loads():
     assert srz.cz_length == 100.0
     assert cfg.route("main").length == 1500.0
     assert cfg.bounds.v_max == pytest.approx(17.8816)
-    assert cfg.flows["srz_feeder"] == pytest.approx(1300 / 3600)
+    assert cfg.route("srz_feeder").flow_vps == pytest.approx(1300 / 3600)
     # both SRZ approaches share one physical lane
     lanes = {ap.lane for ap in srz.approaches}
     assert len(lanes) == 1
@@ -137,7 +136,7 @@ def test_missing_unit_suffix_rejected():
 def test_zero_flow_allowed():
     doc = table1_text().replace("flow: 500 vph", "flow: 0 vph")
     cfg = load_config(doc)
-    assert cfg.flows["main"] == 0.0
+    assert cfg.route("main").flow_vps == 0.0
 
 
 def test_load_is_idempotent():

@@ -177,10 +177,9 @@ def test_baseline_step_matches_min_max_reference():
         projected = None
         if rng.random() < 0.3:
             projected = (draw(rng, -1.0, 60.0, 0.2, 0.01), draw(rng, 0.0, 20.0, 0.2))
-        blocked = rng.random() < 0.4
-        line_gap = draw(rng, -1.0, 30.0, 0.3, 0.01) if rng.random() < 0.8 else None
+        line_gap = draw(rng, -1.0, 30.0, 0.3, 0.01) if rng.random() < 0.4 else None
         ctx = StepContext(v_des=draw(rng, -1.0, 20.0, 0.1, 0.01),
                           dt=rng.choice((0.1, 0.05)), bounds=bounds, limit_cuts=cuts,
-                          projected=projected, yield_blocked=blocked, line_gap=line_gap)
+                          projected=projected, line_gap=line_gap)
         assert same(baseline_step(veh, leader, params, ctx),
                     oracles.baseline_step(veh, leader, params, ctx))

@@ -74,7 +74,7 @@ def test_streamed_run_and_verify_equal_the_oracles(tmp_path, monkeypatch, cfg, m
     got = cli._run_one(cfg, mode, seed, str(tmp_path))
     assert got == oracles.compute_metrics(rows, run_cfg)
     trace = tmp_path / f"trace_{mode}_{seed}.csv"
-    assert trace.read_bytes() == metrics.trace_bytes(rows)
+    assert trace.read_bytes() == oracles.trace_text(rows).encode()
 
     # verify: one pass over the file, checks through the cli names
     back = metrics.read_trace(str(trace))
@@ -250,7 +250,9 @@ def test_batched_trace_text_equals_the_reference(tmp_path, monkeypatch, forks, b
     cfg = load_config_file(TABLE1)
     rows = _text_rows() + _stepped_rows(3 * metrics._CHUNK_ROWS) + _text_rows()
     want = oracles.trace_text(rows)
-    assert metrics.trace_bytes(rows) == want.encode()
+    whole = tmp_path / "whole.csv"
+    metrics.write_trace(str(whole), rows)
+    assert whole.read_bytes() == want.encode()
     assert "\n-0.000,2,main," in want and "\nnan,1,main,nan,inf,-inf," in want
     want_metrics = _canon(dataclasses.asdict(oracles.compute_metrics(rows, cfg)))
 

@@ -314,6 +314,54 @@ def test_infeasible_window_below_kinematic_floor():
         solve_with_speed_arc(bc, TABLE, "v_max")
 
 
+def test_every_speed_arc_layout_meets_its_boundary_and_joins_smoothly():
+    # random states on both bounds, drawn so that each layout (cruise only,
+    # entry arc, exit arc, both arcs) turns up on each: entry and terminal
+    # speeds on the bound or off it, and a distance the bound covers in
+    # exactly the horizon or not. From t0 = 0 and p0 = 0 the spans are exact
+    # in floats. A lone arc whose span falls under the 1 us floor is clamped
+    # to it, which moves p(tm) by up to a third of its speed change times
+    # 1 us, and a 1 us exit arc ending at tm is not exact in floats; such a
+    # plan is held to its speed change times 1 us.
+    rng = np.random.default_rng(18)
+    floor = Bounds(u_min=-3.0, u_max=1.5, v_min=5.0, v_max=17.8816)
+    layouts = set()
+    for trial in range(6000):
+        bounds = TABLE if trial % 2 else floor
+        which = ("v_max", "v_min")[trial // 2 % 2]
+        v_b = getattr(bounds, which)
+        v0 = v_b if rng.random() < 0.3 else float(rng.uniform(0.0, 22.0))
+        pick = rng.random()
+        vt = None if pick < 0.3 else v_b if pick < 0.5 else float(rng.uniform(0.5, 22.0))
+        if v_b > 0 and rng.random() < 0.2:
+            tm = float(rng.uniform(1.0, 40.0))
+            dist = v_b * tm
+        else:
+            dist = float(rng.uniform(1.0, 300.0))
+            tm = dist / float(rng.uniform(0.5, 30.0))
+        bc = BoundaryConditions(p0=0.0, v0=v0, t0=0.0, p_mz=dist, tm=tm, terminal_speed=vt)
+        try:
+            plan = solve_with_speed_arc(bc, bounds, which)
+        except InfeasibleHorizonError:
+            continue
+        layouts.add((which, tuple(seg.kind for seg in plan.segments)))
+        assert plan.t0 == 0.0 and plan.tm == tm
+        arcs = [seg for seg in plan.segments if seg.kind == "unconstrained"]
+        tol = 1e-9
+        if len(arcs) == 1 and arcs[0].span < 2e-6:
+            tol += abs(arcs[0].speed(arcs[0].span) - arcs[0].speed(0.0)) * 1e-6
+        _, v_start, p_start = evaluate(plan, 0.0)
+        um, v_end, p_end = evaluate(plan, tm)
+        assert abs(p_start) < tol and abs(v_start - v0) < tol, bc
+        assert abs(p_end - dist) < tol, bc
+        assert abs(um) < tol if vt is None else abs(v_end - vt) < tol, bc
+        for u_l, v_l, p_l, u_r, v_r, p_r, _ in junctions(plan):
+            assert abs(u_l) < tol and abs(u_r) < tol, bc
+            assert abs(v_l - v_b) < tol and abs(v_r - v_b) < tol, bc
+            assert abs(p_l - p_r) < tol, bc
+    assert len(layouts) == 8, layouts
+
+
 def _random_states(n):
     """n (bc, bounds) draws that cover each way the unconstrained shape can
     fail: v_max, v_min, both, or a control bound."""
