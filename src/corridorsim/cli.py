@@ -213,7 +213,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("error: trace produced no frames", file=sys.stderr)
         return 2
 
-    broker = Broker(port=args.port, drop_prob=args.drop_prob).start()
+    broker = Broker(drop_prob=args.drop_prob).start()
     core = HeadUnitCore(cfg)
     stream = run_over_socket(broker.address, core, idle_timeout=args.idle_timeout)
     socket_cmds: list[tuple[float, float]] = []
@@ -271,8 +271,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_broker(args: argparse.Namespace) -> int:
     from corridorsim.v2x.broker import Broker
 
-    broker = Broker(host=args.host, port=args.port, drop_prob=args.drop_prob,
-                    seed=args.seed).start()
+    broker = Broker(host=args.host, port=args.port, drop_prob=args.drop_prob).start()
     host, port = broker.address
     print(f"broker listening on {host}:{port}", flush=True)
     try:
@@ -353,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=0.0,
                    help="publish pacing in frames/s; 0 floods (default)")
     p.add_argument("--idle-timeout", type=float, default=2.0)
-    p.add_argument("--port", type=int, default=0)
     p.add_argument("--drop-prob", type=float, default=0.0)
     p.add_argument("--out", help="write the socket command stream as CSV")
     p.set_defaults(func=cmd_bench)
@@ -362,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7700)
     p.add_argument("--drop-prob", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_broker)
 
     p = sub.add_parser("replay", help="publish a trace as message frames")

@@ -146,9 +146,6 @@ class ZoneCoordinator:
         self._by_id: dict[int, ScheduleEntry] = {}
         self._v0: dict[int, float] = {}
 
-    def __len__(self) -> int:
-        return len(self._by_id)
-
     @property
     def occupancy(self) -> list[OccupancyInterval]:
         """Booked MZ intervals of every registration, released ones included."""

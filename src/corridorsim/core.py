@@ -92,15 +92,15 @@ class Bounds:
     v_min: float
     v_max: float
 
-    def validate(self, path: str = "bounds") -> None:
+    def validate(self) -> None:
         if not self.u_min < 0:
-            raise ConfigError("u_min must be negative", f"{path}.u_min")
+            raise ConfigError("u_min must be negative", "bounds.u_min")
         if not self.u_max > 0:
-            raise ConfigError("u_max must be positive", f"{path}.u_max")
+            raise ConfigError("u_max must be positive", "bounds.u_max")
         if self.v_min < 0:
-            raise ConfigError("v_min must be non-negative", f"{path}.v_min")
+            raise ConfigError("v_min must be non-negative", "bounds.v_min")
         if not self.v_max > self.v_min:
-            raise ConfigError("v_max must exceed v_min", f"{path}.v_max")
+            raise ConfigError("v_max must exceed v_min", "bounds.v_max")
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,6 @@ class BaselineParams:
 @dataclass(frozen=True)
 class SpawnParams:
     min_lead: float = 2.0
-    probe_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -254,6 +253,18 @@ class VehicleState:
 # loading
 
 
+def _mapping(raw, keys: tuple[str, ...], path: str) -> dict:
+    """``raw``, checked to be a mapping whose every key is one of ``keys``:
+    a misspelt optional key would otherwise load as its default."""
+    if not isinstance(raw, dict):
+        raise ConfigError("must be a mapping", path)
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown key, expected one of {sorted(keys)}",
+                              f"{path}.{key}" if path else str(key))
+    return raw
+
+
 def _require(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ConfigError(f"missing required key {key!r}", path)
@@ -265,8 +276,7 @@ def _load_route(name: str, raw: dict, path: str) -> RouteSpec:
         # a trace row holds the name as one unquoted CSV field
         raise ConfigError("route name must be non-empty and hold no comma, "
                           "double quote, CR or LF", path)
-    if not isinstance(raw, dict):
-        raise ConfigError("route must be a mapping", path)
+    _mapping(raw, ("flow", "segments"), path)
     flow = parse_quantity(_require(raw, "flow", path), "flow", f"{path}.flow")
     if flow < 0:
         raise ConfigError("flow must be non-negative", f"{path}.flow")
@@ -276,6 +286,7 @@ def _load_route(name: str, raw: dict, path: str) -> RouteSpec:
     segs = []
     for i, rs in enumerate(raw_segs):
         spath = f"{path}.segments[{i}]"
+        _mapping(rs, ("length", "limit"), spath)
         length = parse_quantity(_require(rs, "length", spath), "length", f"{spath}.length")
         limit = parse_quantity(_require(rs, "limit", spath), "speed", f"{spath}.limit")
         if length <= 0:
@@ -288,6 +299,7 @@ def _load_route(name: str, raw: dict, path: str) -> RouteSpec:
 
 def _load_zone(raw: dict, routes: dict[str, RouteSpec], bounds: Bounds,
                path: str) -> ConflictZoneSpec:
+    _mapping(raw, ("z", "kind", "length", "mz_length", "mz_speed", "terminal", "approaches"), path)
     index = _require(raw, "z", path)
     if not isinstance(index, int) or isinstance(index, bool) or index < 1:
         raise ConfigError("z must be a positive integer zone index", f"{path}.z")
@@ -317,20 +329,13 @@ def _load_zone(raw: dict, routes: dict[str, RouteSpec], bounds: Bounds,
     aps = []
     for i, ra in enumerate(raw_aps):
         apath = f"{path}.approaches[{i}]"
+        _mapping(ra, ("route", "lane", "mz_entry", "priority"), apath)
         rname = _require(ra, "route", apath)
         if rname not in routes:
             raise ConfigError(f"unknown route {rname!r}", f"{apath}.route")
         lane = _require(ra, "lane", apath)
         mz_start = parse_quantity(_require(ra, "mz_entry", apath), "length", f"{apath}.mz_entry")
         cz_start = mz_start - cz_length
-        if "cz_entry" in ra:
-            declared = parse_quantity(ra["cz_entry"], "length", f"{apath}.cz_entry")
-            if abs(declared - cz_start) > 1e-9:
-                raise ConfigError(
-                    "cz_entry, mz_entry and zone length disagree "
-                    f"(mz_entry - cz_entry = {mz_start - declared:.6g}, length = {cz_length:.6g})",
-                    f"{apath}.cz_entry",
-                )
         if cz_start < 0:
             raise ConfigError("control zone extends upstream of the route start", f"{apath}.mz_entry")
         route = routes[rname]
@@ -360,6 +365,8 @@ def load_config(text: str) -> CorridorConfig:
         raise ConfigError(f"invalid YAML: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a mapping")
+    _mapping(doc, ("mode", "seed", "dt", "horizon", "headway", "main_route", "bounds",
+                   "baseline", "spawn", "routes", "zones"), "")
 
     mode = doc.get("mode", "optimal")
     if mode not in MODES:
@@ -377,7 +384,7 @@ def load_config(text: str) -> CorridorConfig:
     if headway <= 0:
         raise ConfigError("headway must be strictly positive", "headway")
 
-    braw = _require(doc, "bounds", "")
+    braw = _mapping(_require(doc, "bounds", ""), ("u_min", "u_max", "v_min", "v_max"), "bounds")
     bounds = Bounds(
         u_min=parse_quantity(_require(braw, "u_min", "bounds"), "accel", "bounds.u_min"),
         u_max=parse_quantity(_require(braw, "u_max", "bounds"), "accel", "bounds.u_max"),
@@ -424,7 +431,8 @@ def load_config(text: str) -> CorridorConfig:
             if s1 < e0 - 1e-9:
                 raise ConfigError(f"zones {i0} and {i1} overlap on route {name!r}", "zones")
 
-    bl = doc.get("baseline", {}) or {}
+    bl = _mapping(doc.get("baseline") or {}, ("max_accel", "comfort_decel", "min_gap", "headway",
+                                              "yield_gap", "speed_exponent"), "baseline")
     baseline = BaselineParams(
         max_accel=parse_quantity(bl.get("max_accel", "1.5 m/s2"), "accel", "baseline.max_accel"),
         comfort_decel=parse_quantity(bl.get("comfort_decel", "3.0 m/s2"), "accel", "baseline.comfort_decel"),
@@ -436,11 +444,9 @@ def load_config(text: str) -> CorridorConfig:
     if baseline.max_accel <= 0 or baseline.comfort_decel <= 0:
         raise ConfigError("baseline accelerations must be strictly positive", "baseline")
 
-    sp = doc.get("spawn", {}) or {}
+    sp = _mapping(doc.get("spawn") or {}, ("min_lead",), "spawn")
     spawn = SpawnParams(
-        min_lead=parse_quantity(sp.get("min_lead", "2.0 m"), "length", "spawn.min_lead"),
-        probe_only=bool(sp.get("probe_only", False)),
-    )
+        min_lead=parse_quantity(sp.get("min_lead", "2.0 m"), "length", "spawn.min_lead"))
 
     return CorridorConfig(
         mode=mode, seed=seed, dt=dt, horizon=horizon, headway=headway,
@@ -487,7 +493,6 @@ def serialize_config(cfg: CorridorConfig) -> str:
         },
         "spawn": {
             "min_lead": _fmt(cfg.spawn.min_lead, "m"),
-            "probe_only": cfg.spawn.probe_only,
         },
         "routes": {
             r.name: {

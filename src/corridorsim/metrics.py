@@ -340,8 +340,6 @@ def write_events(path: str, events: dict) -> None:
 
 @dataclass
 class Metrics:
-    mode: str
-    seed: int
     spawned_per_route: dict = field(default_factory=dict)
     completed_per_route: dict = field(default_factory=dict)
     corridor_time: float = float("nan")      # mean, completed main-route vehicles
@@ -390,7 +388,7 @@ class MetricsAccumulator:
     def result(self) -> Metrics:
         config = self.config
         dt = config.dt
-        m = Metrics(mode=config.mode, seed=config.seed)
+        m = Metrics()
         lengths = {r.name: r.length for r in config.routes}
         zone_samples: dict[int, list[float]] = defaultdict(list)
         corridor_samples: list[float] = []

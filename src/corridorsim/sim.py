@@ -77,13 +77,8 @@ GOVERNOR_MARGIN = 0.01     # m kept above the headway envelope by the governor
 def arrival_times(config: CorridorConfig, route_index: int) -> list[float]:
     """Spawn times of ``config.routes[route_index]`` before the horizon, in
     order: a Poisson stream of the route's flow from its own seeded
-    generator, so adding a route never perturbs the others. With
-    ``spawn.probe_only`` the main route spawns once, at 0 s, and no other
-    route spawns."""
-    route = config.routes[route_index]
-    if config.spawn.probe_only:
-        return [0.0] if route.name == config.main_route else []
-    rate = route.flow_vps
+    generator, so adding a route never perturbs the others."""
+    rate = config.routes[route_index].flow_vps
     if rate <= 0:
         return []
     import numpy as np   # here, so verbs that never spawn skip its import
@@ -313,8 +308,9 @@ def _least_float(pred, guess: float) -> float:
 
 class _Slot:
     """One route's approach to one zone. Rebuilt every step: ``rows``, the
-    route's (x, v, priority) inside the zone window, x measured from its MZ
-    line; ``others``, the peers' rows (yielding only); ``mz_x``/``mz_v``, the
+    route's (x, v, priority) at every s in [cz_start, mz_start +
+    mz_length), the window of the trace's zone column, with x = s - mz_start;
+    ``others``, the peers' rows (yielding only); ``mz_x``/``mz_v``, the
     peers inside the MZ sorted by x (shared lanes only)."""
 
     def __init__(self, zone: ConflictZoneSpec, ap: Approach, config: CorridorConfig):
@@ -333,13 +329,13 @@ class _Route:
     """Per-route lookups built once, the route's vehicles front first, and
     its arrival times (``arrival_times``) not yet spawned, next first.
 
-    ``cells[bisect_right(edges, s)]`` is (zone column, the slots whose window
-    -cz_length <= s - mz_start < mz_length holds s, the first slot whose
+    ``cells[bisect_right(edges, s)]`` is (zone column, the slots whose
+    window [cz_start, mz_start + mz_length) holds s, the first slot whose
     [cz_start, mz_start) holds s or None, ``spec.limit_at(s)``, the index
-    ``bisect_right(cuts, (s, inf))`` of the first limit drop past s). Window
-    ends are the least floats at which each comparison turns, and every
-    segment join is an edge, so the lookup matches each comparison, the
-    limit and the cut index at every float.
+    ``bisect_right(cuts, (s, inf))`` of the first limit drop past s). The
+    zone column is the index of the first slot whose window holds s, or 0.
+    Every window end and segment join is an edge, so the lookup matches
+    each comparison, the limit and the cut index at every float.
     """
 
     def __init__(self, spec: RouteSpec, slots: list[_Slot], arrivals: list[float]):
@@ -353,22 +349,16 @@ class _Route:
         self.slots = slots
         self.order: list[VehicleState] = []
         self.arrivals = deque(arrivals)
-        wins = []
-        for sl in slots:
-            zone, ap = sl.zone, sl.ap
-            mz = ap.mz_start
-            frame = (_least_float(lambda s: -zone.cz_length <= s - mz, ap.cz_start),
-                     _least_float(lambda s: not s - mz < zone.mz_length, mz + zone.mz_length))
-            wins.append((sl, frame, (ap.cz_start, ap.mz_start + zone.mz_length),
-                         (ap.cz_start, ap.mz_start)))
-        self.edges = sorted({e for w in wins for lo_hi in w[1:] for e in lo_hi}
-                            | {pos for pos, _ in bnds[1:]})
+        wins = [(sl, sl.ap.cz_start, sl.ap.mz_start, sl.ap.mz_start + sl.zone.mz_length)
+                for sl in slots]
+        self.edges = sorted({e for w in wins for e in w[1:]} | {pos for pos, _ in bnds[1:]})
         self.cells = []
         for e in [-math.inf] + self.edges:     # each cell from its least float
+            inside = tuple(sl for sl, lo, _, hi in wins if lo <= e < hi)
             self.cells.append((
-                next((w[0].zone.index for w in wins if w[2][0] <= e < w[2][1]), 0),
-                tuple(w[0] for w in wins if w[1][0] <= e < w[1][1]),
-                next((w[0] for w in wins if w[3][0] <= e < w[3][1]), None),
+                inside[0].zone.index if inside else 0,
+                inside,
+                next((sl for sl, lo, mz, _ in wins if lo <= e < mz), None),
                 spec.limit_at(e),
                 bisect_right(self.cuts, (e, math.inf))))
 

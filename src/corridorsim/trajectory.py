@@ -212,10 +212,11 @@ def _peak_quad(qa: float, qb: float, qc: float, span: float) -> float:
     return max(vals)
 
 
-def check_feasibility(coeffs: TrajectoryCoefficients, bounds: Bounds,
-                      tol: float = _FEAS_TOL) -> set[str]:
+def check_feasibility(coeffs: TrajectoryCoefficients, bounds: Bounds) -> set[str]:
     """Names of the bounds (u_min, u_max, v_min, v_max) that u or v exceeds
-    by more than tol somewhere in the plan window.
+    by more than ``_FEAS_TOL`` somewhere in the plan window: the tolerance
+    ``horizon_edges`` moves the control bounds by, so the verdict turns at
+    the edges it computes.
 
     Each arc's extremum is exact, not sampled, so a graze at exactly the
     limit is not a violation.
@@ -234,7 +235,7 @@ def check_feasibility(coeffs: TrajectoryCoefficients, bounds: Bounds,
             ("v_min", -0.5 * seg.a, -seg.b, bounds.v_min - seg.c),
         )
         broken.update(name for name, qa, qb, qc in checks
-                      if _peak_quad(qa, qb, qc, span) > tol)
+                      if _peak_quad(qa, qb, qc, span) > _FEAS_TOL)
     return broken
 
 

@@ -153,13 +153,12 @@ class Broker:
         host: str = "127.0.0.1",
         port: int = 0,
         drop_prob: float = 0.0,
-        seed: int = 0,
     ):
         self._listener = socket.create_server((host, port))
         self._host = host
         self._port = self._listener.getsockname()[1]
         self._drop_prob = drop_prob
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self._subs: dict[str, list[socket.socket]] = {}
         self._conns: set[socket.socket] = set()
         self._lock = threading.Lock()

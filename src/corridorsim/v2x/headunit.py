@@ -6,7 +6,7 @@ the broadcast traffic.  Each tick it
 1. integrates ego distance at the last commanded speed,
 2. locates the current coordination zone from hard-coded route geometry,
 3. filters buffered frames to that zone (the buffer holds each vehicle's
-   latest frame; a frame stamped more than ``stale_after`` before the tick
+   latest frame; a frame stamped more than ``STALE_AFTER`` before the tick
    is dropped, with the buffer swept only on ticks where such a frame can
    be in it),
 4. picks the frame immediately ahead by distance-to-zone as putative leader
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _DIST_EPS = 1e-9
+STALE_AFTER = 1.0   # s of feed silence after which a tick holds its command
 
 
 class HeadUnitCore:
@@ -56,12 +57,11 @@ class HeadUnitCore:
     timestamps; every tick returns the speed command in m/s.
     """
 
-    def __init__(self, config: CorridorConfig, stale_after: float = 1.0):
+    def __init__(self, config: CorridorConfig):
         self.route = config.route(config.main_route)
         self.zones = config.zones_on(self.route.name)
         self.bounds = config.bounds
         self.headway = config.headway
-        self.stale_after = stale_after
 
         self.dist = 0.0
         self.v_cmd = self.route.limit_at(0.0)
@@ -77,7 +77,6 @@ class HeadUnitCore:
 
         self.decode_errors = 0
         self.spat_frames = 0
-        self.stale = False
         self.stale_ticks = 0
         self.replans = 0
         self.clamped_plans = 0
@@ -93,11 +92,6 @@ class HeadUnitCore:
         if frame.timestamp_ms < self._oldest_ms:
             self._oldest_ms = frame.timestamp_ms
         self.t_last_rx = t
-
-    @property
-    def v_hold(self) -> float | None:
-        """Speed the plan followed holds through the merging zone."""
-        return None if self.plan is None else self.plan.v_hold
 
     # ------------------------------------------------------------------
     # per-tick planning
@@ -121,9 +115,7 @@ class HeadUnitCore:
             return self.v_cmd
 
         # feed loss: hold the last command rather than replan on thin air
-        self.stale = (self.t_last_rx is not None
-                      and t - self.t_last_rx > self.stale_after)
-        if self.stale:
+        if self.t_last_rx is not None and t - self.t_last_rx > STALE_AFTER:
             self.stale_ticks += 1
             return self.v_cmd
 
@@ -143,14 +135,14 @@ class HeadUnitCore:
     # internals
 
     def _expire(self, t: float) -> None:
-        """Drop frames stamped more than ``stale_after`` before ``t``.
+        """Drop frames stamped more than ``STALE_AFTER`` before ``t``.
 
         The buffer is swept only when the lower bound on its timestamps is
         itself stale: the test is monotone in the timestamp, so while the
         bound is fresh every frame is.  Each sweep sets the bound to the
         oldest frame left; ``ingest`` lowers it.
         """
-        cutoff = t - self.stale_after
+        cutoff = t - STALE_AFTER
         if not self._oldest_ms / 1000.0 < cutoff:
             return
         buffer = self.buffer

@@ -54,9 +54,10 @@ def wire_fields(
     keyed by (vehicle, zone); rows without a schedule entry (baseline
     traces) carry a zero merging time, and rows outside any zone a zero
     merging time and distance.  A row whose time, position or speed is not
-    finite, or that is in a zone its route does not pass, and a schedule
-    entry whose merging time is not finite raise ``ValueError``.  Fields
-    are not range-checked: ``encode_bsm`` does that.
+    finite, or that is in a zone its route does not pass, a schedule entry
+    whose merging time is not finite, and a row with a value too large to
+    round to an integer of wire units raise ``ValueError``.  Fields are not
+    range-checked: ``encode_bsm`` does that.
     """
     mz_at = _mz_positions(config)
     tm_at: dict[tuple[int, int], float] = {}
@@ -72,19 +73,25 @@ def wire_fields(
                              f"{s!r} m and speed {v!r} m/s; a frame needs finite values")
         n = seq.get(vid, 0)
         seq[vid] = (n + 1) & 0xFF
-        speed = round((0.0 if v < 0.0 else v) / SPEED_UNIT)
-        if zone > 0:
-            try:
-                dist = mz_at[route, zone] - s
-            except KeyError:
-                raise ValueError(f"trace row at t={t:.3f} s: vehicle {vid} on "
-                                 f"route {route!r} is in zone {zone}, which the "
-                                 "route does not pass") from None
-            yield (MSG_BSM, vid, 0, 0, speed, round(tm_at.get((vid, zone), 0.0) * 1000.0),
-                   round((0.0 if dist < 0.0 else dist) / DIST_UNIT), zone, n,
-                   round(t * 1000.0))
-        else:
-            yield MSG_BSM, vid, 0, 0, speed, 0, 0, zone, n, round(t * 1000.0)
+        try:
+            speed = round((0.0 if v < 0.0 else v) / SPEED_UNIT)
+            stamp = round(t * 1000.0)
+            if zone > 0:
+                try:
+                    dist = mz_at[route, zone] - s
+                except KeyError:
+                    raise ValueError(f"trace row at t={t:.3f} s: vehicle {vid} on "
+                                     f"route {route!r} is in zone {zone}, which the "
+                                     "route does not pass") from None
+                fields = (MSG_BSM, vid, 0, 0, speed, round(tm_at.get((vid, zone), 0.0) * 1000.0),
+                          round((0.0 if dist < 0.0 else dist) / DIST_UNIT), zone, n, stamp)
+            else:
+                fields = MSG_BSM, vid, 0, 0, speed, 0, 0, zone, n, stamp
+        except OverflowError:   # finite, but infinite in wire units
+            raise ValueError(f"trace row at t={t:.3f} s: vehicle {vid} has a time, "
+                             "position, speed or merging time too large for a "
+                             "frame") from None
+        yield fields
 
 
 def frames_from_trace(

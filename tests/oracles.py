@@ -261,7 +261,7 @@ def _per_vehicle(rows: list[tuple]) -> dict[int, list[tuple]]:
 
 def compute_metrics(rows: list[tuple], config: CorridorConfig) -> Metrics:
     dt = config.dt
-    m = Metrics(mode=config.mode, seed=config.seed)
+    m = Metrics()
     lengths = {r.name: r.length for r in config.routes}
     zone_samples: dict[int, list[float]] = defaultdict(list)
     corridor_samples: list[float] = []

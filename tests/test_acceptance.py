@@ -250,12 +250,12 @@ def test_criterion_4_coordinated_mode_wins_where_expected():
             f"{deviation}; {elapsed:.0f} s (budget 300 s)")
 
 
-def test_criterion_5_single_vehicle_parity():
+def test_criterion_5_single_vehicle_parity(monkeypatch):
     t_start = time.perf_counter()
-    cfg = load_config_file(TABLE1)
-    cfg = dataclasses.replace(
-        cfg, horizon=200.0,
-        spawn=dataclasses.replace(cfg.spawn, probe_only=True))
+    # one vehicle on the main route at 0 s and none on the others
+    monkeypatch.setattr(sim, "arrival_times", lambda config, i:
+                        [0.0] if config.routes[i].name == config.main_route else [])
+    cfg = dataclasses.replace(load_config_file(TABLE1), horizon=200.0)
     times = {}
     for mode in ("baseline", "optimal"):
         run_cfg = dataclasses.replace(cfg, mode=mode)

@@ -139,7 +139,7 @@ def test_sync_echo_survives_total_loss():
 
 
 def test_drop_injection_discards_everything():
-    broker = Broker(port=0, drop_prob=1.0, seed=7).start()
+    broker = Broker(port=0, drop_prob=1.0).start()
     try:
         sub = BrokerClient(broker.address, timeout=5.0)
         sub.subscribe("t")

@@ -92,12 +92,15 @@ def test_verify_rejects_missing_and_malformed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("verb", ["run", "verify", "bench"])
-@pytest.mark.parametrize("config", ["missing", "invalid"])
+@pytest.mark.parametrize("config", ["missing", "invalid", "misspelt"])
 def test_unreadable_config_exits_2(tmp_path, capsys, verb, config):
     # 1 means violations found (verify) or DIVERGED (bench); bad input is 2
     path = tmp_path / "config.yaml"
     if config == "invalid":
         path.write_text("horizon: soon\n")
+    elif config == "misspelt":
+        with open(BENCH) as fh:
+            path.write_text(fh.read().replace("headway: 1.2 s\n", "headwy: 9 s\n", 1))
     trace = tmp_path / "trace.csv"
     trace.write_text("t,id,route,s,v,u,zone\n")
     argv = {"run": ["run", "--config", str(path), "--out", str(tmp_path / "out")],
@@ -106,7 +109,9 @@ def test_unreadable_config_exits_2(tmp_path, capsys, verb, config):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: headwy: unknown key, expected one of [" if config == "misspelt"
+                          else "error: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -221,6 +226,37 @@ def test_a_value_that_is_not_finite_is_bad_input(tmp_path, capsys, row, tm, mess
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {message}; a frame needs "
                    + ("a finite one" if tm else "finite values")] * 2
+
+
+@pytest.mark.parametrize("row, tm", [
+    ("1e306,1,main,0.000000000,10.000000000,0.000000000,0", None),
+    ("0.000,1,main,0.000000000,1e307,0.000000000,0", None),
+    ("0.000,1,main,-1e308,10.000000000,0.000000000,1", None),
+    ("0.000,1,main,300.000000000,10.000000000,0.000000000,1", "1e306"),
+], ids=["time", "speed", "position", "merging-time"])
+def test_a_value_too_large_for_a_frame_is_bad_input(tmp_path, capsys, row, tm):
+    # a finite time, speed, position or merging time whose wire units
+    # overflow a float: bench and replay exit 2 naming the row
+    from corridorsim.v2x.broker import Broker
+
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,id,route,s,v,u,zone\n" + row + "\n")
+    sidecar = []
+    if tm is not None:
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text("vehicle,zone,t0,tm,tf,v_at_tm,relation,lane,truncated\n"
+                            f"1,1,0.0,{tm},30.0,10.0,none,main,0\n")
+        sidecar = ["--schedule", str(schedule)]
+    assert main(["bench", "--config", BENCH, "--trace", str(trace)] + sidecar) == 2
+    with Broker(port=0) as broker:
+        host, port = broker.address
+        assert main(["replay", "--config", BENCH, "--trace", str(trace),
+                     "--address", f"{host}:{port}", "--rate", "0"] + sidecar) == 2
+        assert broker.counters()["published"] == 0
+    t = float(row.split(",", 1)[0])
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: trace row at t={t:.3f} s: vehicle 1 has a time, position, "
+                   "speed or merging time too large for a frame"] * 2
 
 
 def test_headunit_verb_prints_its_counters(tmp_path, capsys):

@@ -105,7 +105,7 @@ def test_register_empty_queue(coordinator):
     assert entry.relation == "none"
     assert entry.tm == pytest.approx(max(100.0 / 13.4, 100.0 / 17.88))
     assert entry.tm == pytest.approx(7.462686567164179)
-    assert len(coordinator) == 1
+    assert coordinator.entry(7) is entry and coordinator.history == [entry]
 
 
 def test_register_follower_spacing(coordinator):
@@ -127,7 +127,8 @@ def test_release_decrements_queue(coordinator):
     coordinator.register_arrival(2, t0=0.5, v0=13.4, lane="lane_a")
     entry = coordinator.entry(1)
     coordinator.release(1, tf=entry.tm + 2.0)
-    assert len(coordinator) == 1
+    # vehicle 2 is queued alone
+    assert coordinator.entry(2).vehicle_id == 2 and coordinator.follower(2) is None
     with pytest.raises(UnknownVehicleError):
         coordinator.entry(1)
 

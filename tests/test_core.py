@@ -79,11 +79,39 @@ def test_positive_u_min_rejected():
 
 
 def test_zone_geometry_identity_enforced():
+    # the control zone starts length before mz_entry; a second position for
+    # it is not a key the loader reads
     doc = table1_text().replace(
         "- {route: main, lane: ramp, mz_entry: 350 m, priority: false}",
         "- {route: main, lane: ramp, mz_entry: 350 m, cz_entry: 200 m, priority: false}")
-    with pytest.raises(ConfigError, match="disagree"):
+    with pytest.raises(ConfigError, match="unknown key") as info:
         load_config(doc)
+    assert info.value.path == "zones[0].approaches[0].cz_entry"
+    assert load_config(table1_text()).zones[0].approaches[0].cz_start == 250.0
+
+
+@pytest.mark.parametrize("old, new, path", [
+    ("headway: 1.2 s\nmain_route", "headwy: 9 s\nmain_route", "headwy"),
+    ("v_max: 40 mph", "v_mx: 40 mph", "bounds.v_mx"),
+    ("yield_gap: 4.0 s", "yeld_gap: 9 s", "baseline.yeld_gap"),
+    ("min_lead: 2.0 m", "min_led: 9 m", "spawn.min_led"),
+    ("flow: 800 vph", "flw: 800 vph", "routes.highway.flw"),
+    ("{length: 365 m, limit: 25 mph}", "{length: 365 m, limt: 25 mph}",
+     "routes.ring.segments[0].limt"),
+    ("terminal: free", "termnal: free", "zones[0].termnal"),
+    ("spawn:\n  min_lead: 2.0 m", "spawn:\n  min_lead: 2.0 m\n  probe_only: true",
+     "spawn.probe_only"),
+], ids=["top", "bounds", "baseline", "spawn", "route", "segment", "zone", "probe_only"])
+def test_unknown_key_rejected(old, new, path):
+    # an optional key read with its default would otherwise load a misspelt
+    # key as the default value; test_zone_geometry_identity_enforced holds
+    # the approach level
+    doc = table1_text().replace(old, new, 1)
+    assert new in doc
+    with pytest.raises(ConfigError, match="unknown key, expected one of") as info:
+        load_config(doc)
+    assert info.value.path == path
+    assert str(info.value).startswith(f"{path}: unknown key")
 
 
 def test_mz_speed_above_segment_limit_rejected():

@@ -9,6 +9,7 @@ import pytest
 
 from corridorsim.core import load_config_file
 from corridorsim import sim
+from corridorsim.v2x import headunit
 from corridorsim.v2x.broker import Broker
 from corridorsim.v2x.bsm import MSG_SPAT, BsmFrame, decode_bsm, encode_bsm
 from corridorsim.v2x.headunit import (
@@ -106,7 +107,7 @@ def test_unreachable_merge_runs_the_clamped_partial_plan(cfg, caplog):
     # the counter is the record; the plan logs at debug, never as a warning
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
     assert core.plan is not None
-    assert core.v_hold == max(terminal_speed(core.plan.coeffs), 0.05)
+    assert core.plan.v_hold == max(terminal_speed(core.plan.coeffs), 0.05)
 
 
 def test_merge_too_close_to_pose_runs_a_partial_plan(cfg):
@@ -125,14 +126,14 @@ def test_stale_feed_holds_last_command(cfg):
     core.dist = 255.0
     core.ingest(leader_frame(7, 30.0, 6.0), 0.0)
     held = core.tick(0.5)
-    assert not core.stale
-    cmd = core.tick(1.6)  # 1.6 s since the last frame, past the 1 s budget
-    assert core.stale and core.stale_ticks == 1
+    assert core.stale_ticks == 0
+    cmd = core.tick(1.6)  # 1.6 s since the last frame, past headunit.STALE_AFTER
+    assert core.stale_ticks == 1
     assert cmd == held
     # fresh traffic revives planning
     core.ingest(leader_frame(8, 40.0, 8.0, ts=1.7), 1.7)
     core.tick(1.8)
-    assert not core.stale and core.plan_key[1] == 8
+    assert core.stale_ticks == 1 and core.plan_key[1] == 8
 
 
 class StubClient:
@@ -166,12 +167,14 @@ def test_socket_frames_count_decode_errors_and_spat(cfg):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_expiry_keeps_what_a_full_sweep_keeps(cfg, seed):
+def test_expiry_keeps_what_a_full_sweep_keeps(cfg, seed, monkeypatch):
     """After every tick the buffer holds exactly the frames a sweep of the
     whole buffer would keep, with late frames and vehicles coming and
     going."""
     rng = random.Random(seed)
-    core = HeadUnitCore(cfg, stale_after=rng.choice([0.05, 0.3, 1.0]))
+    stale_after = rng.choice([0.05, 0.3, 1.0])
+    monkeypatch.setattr(headunit, "STALE_AFTER", stale_after)
+    core = HeadUnitCore(cfg)
     want: dict[int, BsmFrame] = {}
     live = set(range(5))
     next_vid = 5
@@ -191,7 +194,7 @@ def test_expiry_keeps_what_a_full_sweep_keeps(cfg, seed):
             core.ingest(frame, t)
             want[vid] = frame
         core.tick(t)
-        cutoff = t - core.stale_after
+        cutoff = t - stale_after
         want = {vid: f for vid, f in want.items() if not f.timestamp_ms / 1000.0 < cutoff}
         assert core.buffer == want, (seed, step)
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from corridorsim import trajectory
 from corridorsim.core import Bounds, ConflictZoneSpec
 from corridorsim.sim import plan_merge
 from corridorsim.trajectory import (
@@ -480,10 +481,11 @@ def _sampled_excess(coeffs, bounds, n=4001):
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])
-def test_feasibility_names_the_bounds_a_dense_sample_exceeds(tol):
+def test_feasibility_names_the_bounds_a_dense_sample_exceeds(tol, monkeypatch):
     # unconstrained and arc-pieced plans; plans whose sampled excess lies
     # within 1e-6 of tol are too close to call by sampling and are skipped,
     # which at the default tol includes every plan riding a bound exactly
+    monkeypatch.setattr(trajectory, "_FEAS_TOL", tol)
     rng = np.random.default_rng(5)
     floor = Bounds(u_min=-3.0, u_max=1.5, v_min=5.0, v_max=17.8816)
     checked = skipped = 0
@@ -516,7 +518,7 @@ def test_feasibility_names_the_bounds_a_dense_sample_exceeds(tol):
                 skipped += 1
                 continue
             expected = {name for name, e in excess.items() if e > tol}
-            assert check_feasibility(coeffs, bounds, tol) == expected, (bc, bounds, coeffs)
+            assert check_feasibility(coeffs, bounds) == expected, (bc, bounds, coeffs)
             named |= expected
             checked += 1
     assert named == {"u_max", "u_min", "v_max", "v_min"}
