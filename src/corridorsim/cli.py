@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import logging
 import os
+import signal
 import sys
 import threading
 import time
@@ -117,16 +118,38 @@ def _run_one(cfg: CorridorConfig, mode: str, seed: int, out: str) -> Metrics:
     return run_metrics
 
 
+def _exit_on_signal(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def _sigterm_raises():
+    """Within the block, SIGTERM (the signal of ``kill`` and ``timeout``)
+    raises ``SystemExit(143)``, so ``_run_one`` removes its files and
+    ``TraceSink`` reaps its writer as they do on Ctrl-C; the previous
+    handler comes back after. Only the main thread may set a handler, so
+    in any other the block changes nothing."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args.config)
     seeds = _parse_seeds(args.seeds, cfg.seed)
     modes = ["baseline", "optimal"] if args.mode == "both" else [args.mode]
     os.makedirs(args.out, exist_ok=True)
     by_mode: dict[str, list[Metrics]] = {}
-    for mode in modes:
-        for seed in seeds:
-            log.info("running mode=%s seed=%d", mode, seed)
-            by_mode.setdefault(mode, []).append(_run_one(cfg, mode, seed, args.out))
+    with _sigterm_raises():
+        for mode in modes:
+            for seed in seeds:
+                log.info("running mode=%s seed=%d", mode, seed)
+                by_mode.setdefault(mode, []).append(_run_one(cfg, mode, seed, args.out))
     report = render_report(cfg, by_mode)
     with open(os.path.join(args.out, "report.txt"), "w") as fh:
         fh.write(report)

@@ -8,11 +8,13 @@ works in SI units.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional
+from typing import Collection, Optional
 
 import yaml
 
@@ -35,8 +37,6 @@ __all__ = [
 MPH_IN_MPS = 0.44704
 
 ZONE_KINDS = ("merge", "speed_reduction", "roundabout")
-TERMINAL_RULES = ("free", "mz_speed")
-MODES = ("baseline", "optimal")
 
 
 class ConfigError(ValueError):
@@ -52,19 +52,21 @@ class ConfigError(ValueError):
 
 _QUANTITY_RE = re.compile(r"^\s*([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z/^0-9]*)\s*$")
 
-# unit -> factor into the SI base of its dimension
+# unit -> factor into the SI base of its dimension; each dimension's first
+# unit is that base, the one serialize_config writes
 _UNITS = {
     "length": {"m": 1.0, "km": 1000.0},
     "speed": {"m/s": 1.0, "mps": 1.0, "mph": MPH_IN_MPS, "km/h": 1 / 3.6, "kph": 1 / 3.6},
     "accel": {"m/s2": 1.0, "m/s^2": 1.0, "mps2": 1.0},
     "time": {"s": 1.0, "ms": 1e-3, "min": 60.0},
-    "flow": {"vph": 1 / 3600.0, "vps": 1.0},
+    "flow": {"vps": 1.0, "vph": 1 / 3600.0},
 }
 
 
 def parse_quantity(raw, dimension: str, path: str) -> float:
     """Parse 'value unit' into SI. Bare numbers are rejected so unit intent
-    is always explicit in config files."""
+    is always explicit in config files, and so is a value past the float
+    range."""
     table = _UNITS[dimension]
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         raise ConfigError(f"missing unit suffix, expected one of {sorted(table)}", path)
@@ -76,7 +78,10 @@ def parse_quantity(raw, dimension: str, path: str) -> float:
     value, unit = float(m.group(1)), m.group(2)
     if unit not in table:
         raise ConfigError(f"unknown {dimension} unit {unit!r}, expected one of {sorted(table)}", path)
-    return value * table[unit]
+    value *= table[unit]
+    if not math.isfinite(value):
+        raise ConfigError(f"quantity {raw!r} is not finite", path)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +174,13 @@ class ConflictZoneSpec:
     mz_length: float
     mz_speed: float
     approaches: tuple[Approach, ...]
-    terminal_rule: str
+
+    @property
+    def terminal_rule(self) -> str:
+        """The speed condition at the merging time: ``"free"`` at a merge,
+        where the planner chooses the speed, and ``"mz_speed"`` at any
+        other kind, whose merging zone is crossed at ``mz_speed``."""
+        return "free" if self.kind == "merge" else "mz_speed"
 
     @property
     def shared_lane(self) -> bool:
@@ -204,15 +215,18 @@ class SpawnParams:
 
 @dataclass(frozen=True)
 class CorridorConfig:
-    mode: str
-    seed: int
+    """A loaded scenario. ``mode`` is not part of the document: ``run
+    --mode`` sets it on a copy for each run."""
+
     dt: float
     horizon: float
-    headway: float
     main_route: str
     bounds: Bounds
     routes: tuple[RouteSpec, ...]
     zones: tuple[ConflictZoneSpec, ...]
+    seed: int = 0
+    headway: float = 1.2
+    mode: str = "optimal"
     baseline: BaselineParams = field(default_factory=BaselineParams)
     spawn: SpawnParams = field(default_factory=SpawnParams)
     _by_name: dict = field(init=False, repr=False, compare=False)
@@ -252,8 +266,16 @@ class VehicleState:
 # ---------------------------------------------------------------------------
 # loading
 
+# key -> dimension (None: a bare number) of each mapping whose keys are its
+# dataclass's fields; the key check, the parsing and serialize_config read these
+_BOUNDS_KEYS = {"u_min": "accel", "u_max": "accel", "v_min": "speed", "v_max": "speed"}
+_SEGMENT_KEYS = {"length": "length", "limit": "speed"}
+_BASELINE_KEYS = {"max_accel": "accel", "comfort_decel": "accel", "min_gap": "length",
+                  "headway": "time", "yield_gap": "time", "speed_exponent": None}
+_SPAWN_KEYS = {"min_lead": "length"}
 
-def _mapping(raw, keys: tuple[str, ...], path: str) -> dict:
+
+def _mapping(raw, keys: Collection[str], path: str) -> dict:
     """``raw``, checked to be a mapping whose every key is one of ``keys``:
     a misspelt optional key would otherwise load as its default."""
     if not isinstance(raw, dict):
@@ -271,6 +293,28 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _number(raw, path: str) -> float:
+    """A finite bare number; YAML's true and false are not numbers."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        with contextlib.suppress(OverflowError):    # an integer past the float range
+            if math.isfinite(float(raw)):
+                return float(raw)
+    raise ConfigError(f"expected a finite number, got {raw!r}", path)
+
+
+def _fields(raw, keys: dict, path: str, required: bool) -> dict:
+    """The SI value of each key of ``keys`` that ``raw`` gives, by field
+    name; where not ``required``, a key left out takes its field's default."""
+    _mapping(raw, keys, path)
+    given = {}
+    for key, dimension in keys.items():
+        if key in raw or required:
+            value = _require(raw, key, path)
+            given[key] = (_number(value, f"{path}.{key}") if dimension is None
+                          else parse_quantity(value, dimension, f"{path}.{key}"))
+    return given
+
+
 def _load_route(name: str, raw: dict, path: str) -> RouteSpec:
     if not name or any(c in name for c in ',"\r\n'):
         # a trace row holds the name as one unquoted CSV field
@@ -286,20 +330,18 @@ def _load_route(name: str, raw: dict, path: str) -> RouteSpec:
     segs = []
     for i, rs in enumerate(raw_segs):
         spath = f"{path}.segments[{i}]"
-        _mapping(rs, ("length", "limit"), spath)
-        length = parse_quantity(_require(rs, "length", spath), "length", f"{spath}.length")
-        limit = parse_quantity(_require(rs, "limit", spath), "speed", f"{spath}.limit")
-        if length <= 0:
+        seg = RouteSegment(**_fields(rs, _SEGMENT_KEYS, spath, required=True))
+        if seg.length <= 0:
             raise ConfigError("segment length must be strictly positive", f"{spath}.length")
-        if limit <= 0:
+        if seg.limit <= 0:
             raise ConfigError("segment limit must be strictly positive", f"{spath}.limit")
-        segs.append(RouteSegment(length=length, limit=limit))
+        segs.append(seg)
     return RouteSpec(name=name, flow_vps=flow, segments=tuple(segs))
 
 
 def _load_zone(raw: dict, routes: dict[str, RouteSpec], bounds: Bounds,
                path: str) -> ConflictZoneSpec:
-    _mapping(raw, ("z", "kind", "length", "mz_length", "mz_speed", "terminal", "approaches"), path)
+    _mapping(raw, ("z", "kind", "length", "mz_length", "mz_speed", "approaches"), path)
     index = _require(raw, "z", path)
     if not isinstance(index, int) or isinstance(index, bool) or index < 1:
         raise ConfigError("z must be a positive integer zone index", f"{path}.z")
@@ -319,9 +361,6 @@ def _load_zone(raw: dict, routes: dict[str, RouteSpec], bounds: Bounds,
         raise ConfigError(
             f"mz_speed {mz_speed:.6g} m/s lies outside the speed bounds "
             f"[{bounds.v_min:.6g}, {bounds.v_max:.6g}] m/s", f"{path}.mz_speed")
-    terminal = raw.get("terminal", "free" if kind == "merge" else "mz_speed")
-    if terminal not in TERMINAL_RULES:
-        raise ConfigError(f"terminal must be one of {TERMINAL_RULES}", f"{path}.terminal")
 
     raw_aps = _require(raw, "approaches", path)
     if not isinstance(raw_aps, list) or not raw_aps:
@@ -347,50 +386,49 @@ def _load_zone(raw: dict, routes: dict[str, RouteSpec], bounds: Bounds,
                 f"mz_speed {mz_speed:.6g} m/s exceeds the {limit:.6g} m/s limit at the merging zone",
                 f"{path}.mz_speed",
             )
+        if "priority" in ra and not isinstance(ra["priority"], bool):
+            raise ConfigError(f"expected true or false, got {ra['priority']!r}", f"{apath}.priority")
         aps.append(Approach(route=rname, lane=str(lane), cz_start=cz_start, mz_start=mz_start,
-                            priority=bool(ra.get("priority", False))))
+                            **({"priority": ra["priority"]} if "priority" in ra else {})))
     if 1 < len({ap.lane for ap in aps}) < len(aps):
         raise ConfigError("approaches must all share one lane label (a merge) or all carry "
                           "distinct labels (a crossing)", f"{path}.approaches")
     return ConflictZoneSpec(index=index, kind=kind, cz_length=cz_length, mz_length=mz_length,
-                            mz_speed=mz_speed, approaches=tuple(aps), terminal_rule=terminal)
+                            mz_speed=mz_speed, approaches=tuple(aps))
 
 
 def load_config(text: str) -> CorridorConfig:
     """Parse and validate a YAML corridor document. Loading is idempotent:
-    load_config(serialize_config(cfg)) compares equal to cfg."""
+    load_config(serialize_config(cfg)) compares equal to cfg. A key the
+    document leaves out takes its field's default."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a mapping")
-    _mapping(doc, ("mode", "seed", "dt", "horizon", "headway", "main_route", "bounds",
+    _mapping(doc, ("seed", "dt", "horizon", "headway", "main_route", "bounds",
                    "baseline", "spawn", "routes", "zones"), "")
 
-    mode = doc.get("mode", "optimal")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}", "mode")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed must be a non-negative integer", "seed")
+    given = {}    # the optional keys the document sets
+    if "seed" in doc:
+        given["seed"] = seed = doc["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError("seed must be a non-negative integer", "seed")
     dt = parse_quantity(_require(doc, "dt", ""), "time", "dt")
     if dt <= 0:
         raise ConfigError("dt must be strictly positive", "dt")
     horizon = parse_quantity(_require(doc, "horizon", ""), "time", "horizon")
     if horizon <= 0:
         raise ConfigError("horizon must be strictly positive", "horizon")
-    headway = parse_quantity(doc.get("headway", "1.2 s"), "time", "headway")
-    if headway <= 0:
-        raise ConfigError("headway must be strictly positive", "headway")
+    if not math.isfinite(horizon / dt):
+        raise ConfigError("too small: horizon / dt is not finite", "dt")
+    if "headway" in doc:
+        given["headway"] = parse_quantity(doc["headway"], "time", "headway")
+        if given["headway"] <= 0:
+            raise ConfigError("headway must be strictly positive", "headway")
 
-    braw = _mapping(_require(doc, "bounds", ""), ("u_min", "u_max", "v_min", "v_max"), "bounds")
-    bounds = Bounds(
-        u_min=parse_quantity(_require(braw, "u_min", "bounds"), "accel", "bounds.u_min"),
-        u_max=parse_quantity(_require(braw, "u_max", "bounds"), "accel", "bounds.u_max"),
-        v_min=parse_quantity(_require(braw, "v_min", "bounds"), "speed", "bounds.v_min"),
-        v_max=parse_quantity(_require(braw, "v_max", "bounds"), "speed", "bounds.v_max"),
-    )
+    bounds = Bounds(**_fields(_require(doc, "bounds", ""), _BOUNDS_KEYS, "bounds", required=True))
     bounds.validate()
 
     raw_routes = _require(doc, "routes", "")
@@ -431,27 +469,16 @@ def load_config(text: str) -> CorridorConfig:
             if s1 < e0 - 1e-9:
                 raise ConfigError(f"zones {i0} and {i1} overlap on route {name!r}", "zones")
 
-    bl = _mapping(doc.get("baseline") or {}, ("max_accel", "comfort_decel", "min_gap", "headway",
-                                              "yield_gap", "speed_exponent"), "baseline")
-    baseline = BaselineParams(
-        max_accel=parse_quantity(bl.get("max_accel", "1.5 m/s2"), "accel", "baseline.max_accel"),
-        comfort_decel=parse_quantity(bl.get("comfort_decel", "3.0 m/s2"), "accel", "baseline.comfort_decel"),
-        min_gap=parse_quantity(bl.get("min_gap", "2.0 m"), "length", "baseline.min_gap"),
-        headway=parse_quantity(bl.get("headway", "1.2 s"), "time", "baseline.headway"),
-        yield_gap=parse_quantity(bl.get("yield_gap", "4.0 s"), "time", "baseline.yield_gap"),
-        speed_exponent=float(bl.get("speed_exponent", 4.0)),
-    )
+    baseline = BaselineParams(**_fields(doc.get("baseline") or {}, _BASELINE_KEYS, "baseline",
+                                        required=False))
     if baseline.max_accel <= 0 or baseline.comfort_decel <= 0:
         raise ConfigError("baseline accelerations must be strictly positive", "baseline")
-
-    sp = _mapping(doc.get("spawn") or {}, ("min_lead",), "spawn")
-    spawn = SpawnParams(
-        min_lead=parse_quantity(sp.get("min_lead", "2.0 m"), "length", "spawn.min_lead"))
+    spawn = SpawnParams(**_fields(doc.get("spawn") or {}, _SPAWN_KEYS, "spawn", required=False))
 
     return CorridorConfig(
-        mode=mode, seed=seed, dt=dt, horizon=horizon, headway=headway,
-        main_route=main_route, bounds=bounds, routes=tuple(routes.values()),
-        zones=tuple(zones), baseline=baseline, spawn=spawn,
+        dt=dt, horizon=horizon, main_route=main_route, bounds=bounds,
+        routes=tuple(routes.values()), zones=tuple(zones), baseline=baseline, spawn=spawn,
+        **given,
     )
 
 
@@ -460,8 +487,13 @@ def load_config_file(path) -> CorridorConfig:
         return load_config(fh.read())
 
 
-def _fmt(value: float, unit: str) -> str:
-    return f"{value!r} {unit}"
+def _fmt(value: float, dimension: Optional[str]) -> float | str:
+    """``value`` with the SI unit of ``dimension``; bare where it has none."""
+    return value if dimension is None else f"{value!r} {next(iter(_UNITS[dimension]))}"
+
+
+def _emit(obj, keys: dict) -> dict:
+    return {key: _fmt(getattr(obj, key), dimension) for key, dimension in keys.items()}
 
 
 def serialize_config(cfg: CorridorConfig) -> str:
@@ -471,36 +503,18 @@ def serialize_config(cfg: CorridorConfig) -> str:
     trip is structurally exact.
     """
     doc = {
-        "mode": cfg.mode,
         "seed": cfg.seed,
-        "dt": _fmt(cfg.dt, "s"),
-        "horizon": _fmt(cfg.horizon, "s"),
-        "headway": _fmt(cfg.headway, "s"),
+        "dt": _fmt(cfg.dt, "time"),
+        "horizon": _fmt(cfg.horizon, "time"),
+        "headway": _fmt(cfg.headway, "time"),
         "main_route": cfg.main_route,
-        "bounds": {
-            "u_min": _fmt(cfg.bounds.u_min, "m/s2"),
-            "u_max": _fmt(cfg.bounds.u_max, "m/s2"),
-            "v_min": _fmt(cfg.bounds.v_min, "m/s"),
-            "v_max": _fmt(cfg.bounds.v_max, "m/s"),
-        },
-        "baseline": {
-            "max_accel": _fmt(cfg.baseline.max_accel, "m/s2"),
-            "comfort_decel": _fmt(cfg.baseline.comfort_decel, "m/s2"),
-            "min_gap": _fmt(cfg.baseline.min_gap, "m"),
-            "headway": _fmt(cfg.baseline.headway, "s"),
-            "yield_gap": _fmt(cfg.baseline.yield_gap, "s"),
-            "speed_exponent": cfg.baseline.speed_exponent,
-        },
-        "spawn": {
-            "min_lead": _fmt(cfg.spawn.min_lead, "m"),
-        },
+        "bounds": _emit(cfg.bounds, _BOUNDS_KEYS),
+        "baseline": _emit(cfg.baseline, _BASELINE_KEYS),
+        "spawn": _emit(cfg.spawn, _SPAWN_KEYS),
         "routes": {
             r.name: {
-                "flow": _fmt(r.flow_vps, "vps"),
-                "segments": [
-                    {"length": _fmt(s.length, "m"), "limit": _fmt(s.limit, "m/s")}
-                    for s in r.segments
-                ],
+                "flow": _fmt(r.flow_vps, "flow"),
+                "segments": [_emit(s, _SEGMENT_KEYS) for s in r.segments],
             }
             for r in cfg.routes
         },
@@ -508,15 +522,14 @@ def serialize_config(cfg: CorridorConfig) -> str:
             {
                 "z": z.index,
                 "kind": z.kind,
-                "length": _fmt(z.cz_length, "m"),
-                "mz_length": _fmt(z.mz_length, "m"),
-                "mz_speed": _fmt(z.mz_speed, "m/s"),
-                "terminal": z.terminal_rule,
+                "length": _fmt(z.cz_length, "length"),
+                "mz_length": _fmt(z.mz_length, "length"),
+                "mz_speed": _fmt(z.mz_speed, "speed"),
                 "approaches": [
                     {
                         "route": ap.route,
                         "lane": ap.lane,
-                        "mz_entry": _fmt(ap.mz_start, "m"),
+                        "mz_entry": _fmt(ap.mz_start, "length"),
                         "priority": ap.priority,
                     }
                     for ap in z.approaches

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from corridorsim import sim
 from corridorsim.cli import _address, _parse_seeds, main
 
 BENCH = "configs/bench.yaml"
@@ -91,16 +92,41 @@ def test_verify_rejects_missing_and_malformed(tmp_path, capsys):
     capsys.readouterr()
 
 
+# config -> (text of the bench config, its replacement, start of the error)
+_BAD_EDITS = {
+    "misspelt": ("headway: 1.2 s\n", "headwy: 9 s\n", "headwy: unknown key, expected one of ["),
+    "huge-horizon": ("horizon: 60 s", "horizon: 1e400 s",
+                     "horizon: quantity '1e400 s' is not finite"),
+    "tiny-dt": ("dt: 0.1 s", "dt: 1e-320 s", "dt: too small: horizon / dt is not finite"),
+    "word-exponent": ("speed_exponent: 4.0", "speed_exponent: fast",
+                      "baseline.speed_exponent: expected a finite number, got 'fast'"),
+    "bool-exponent": ("speed_exponent: 4.0", "speed_exponent: true",
+                      "baseline.speed_exponent: expected a finite number, got True"),
+    "inf-exponent": ("speed_exponent: 4.0", "speed_exponent: .inf",
+                     "baseline.speed_exponent: expected a finite number, got inf"),
+    "word-priority": ("priority: false}", "priority: nope}",
+                      "zones[0].approaches[0].priority: expected true or false, got 'nope'"),
+}
+
+
 @pytest.mark.parametrize("verb", ["run", "verify", "bench"])
-@pytest.mark.parametrize("config", ["missing", "invalid", "misspelt"])
-def test_unreadable_config_exits_2(tmp_path, capsys, verb, config):
-    # 1 means violations found (verify) or DIVERGED (bench); bad input is 2
+@pytest.mark.parametrize("config", ["missing", "invalid", *_BAD_EDITS])
+def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch, verb, config):
+    # 1 means violations found (verify) or DIVERGED (bench); bad input is 2,
+    # reported in one line before any simulation starts
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sim, "run", no_run)
     path = tmp_path / "config.yaml"
     if config == "invalid":
         path.write_text("horizon: soon\n")
-    elif config == "misspelt":
+    elif config in _BAD_EDITS:
+        old, new, _ = _BAD_EDITS[config]
         with open(BENCH) as fh:
-            path.write_text(fh.read().replace("headway: 1.2 s\n", "headwy: 9 s\n", 1))
+            text = fh.read()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
     trace = tmp_path / "trace.csv"
     trace.write_text("t,id,route,s,v,u,zone\n")
     argv = {"run": ["run", "--config", str(path), "--out", str(tmp_path / "out")],
@@ -110,8 +136,8 @@ def test_unreadable_config_exits_2(tmp_path, capsys, verb, config):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: headwy: unknown key, expected one of [" if config == "misspelt"
-                          else "error: ")
+    assert err.startswith("error: " + (_BAD_EDITS[config][2] if config in _BAD_EDITS else ""))
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

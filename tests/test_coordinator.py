@@ -17,14 +17,13 @@ from corridorsim.coordinator import (
 )
 
 
-def make_zone(cz=100.0, mz=30.0, mz_speed=10.0, kind="merge", terminal="free"):
+def make_zone(cz=100.0, mz=30.0, mz_speed=10.0, kind="merge"):
     return ConflictZoneSpec(
         index=1, kind=kind, cz_length=cz, mz_length=mz, mz_speed=mz_speed,
         approaches=(
             Approach(route="a", lane="lane_a", cz_start=0.0, mz_start=cz),
             Approach(route="b", lane="lane_b", cz_start=0.0, mz_start=cz, priority=True),
         ),
-        terminal_rule=terminal,
     )
 
 
@@ -230,8 +229,7 @@ def test_schedule_chain_keeps_conflict_lanes_disjoint():
     rng = np.random.default_rng(99)
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=0.0, v_max=17.8816)
     for stream in range(200):
-        zone = make_zone(cz=100.0, mz=15.0, mz_speed=11.176, kind="roundabout",
-                         terminal="mz_speed")
+        zone = make_zone(cz=100.0, mz=15.0, mz_speed=11.176, kind="roundabout")
         coord = ZoneCoordinator(zone, bounds, headway=1.2)
         t = 0.0
         for vid in range(30):

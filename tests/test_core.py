@@ -1,5 +1,6 @@
 """Configuration loading, unit handling, validation."""
 
+import dataclasses
 import math
 import pathlib
 import random
@@ -7,10 +8,12 @@ import random
 import pytest
 
 from corridorsim.core import (
+    BaselineParams,
     Bounds,
     ConfigError,
     RouteSegment,
     RouteSpec,
+    SpawnParams,
     load_config,
     load_config_file,
     parse_quantity,
@@ -98,10 +101,14 @@ def test_zone_geometry_identity_enforced():
     ("flow: 800 vph", "flw: 800 vph", "routes.highway.flw"),
     ("{length: 365 m, limit: 25 mph}", "{length: 365 m, limt: 25 mph}",
      "routes.ring.segments[0].limt"),
-    ("terminal: free", "termnal: free", "zones[0].termnal"),
+    ("mz_length: 15 m", "mz_lenght: 15 m", "zones[0].mz_lenght"),
     ("spawn:\n  min_lead: 2.0 m", "spawn:\n  min_lead: 2.0 m\n  probe_only: true",
      "spawn.probe_only"),
-], ids=["top", "bounds", "baseline", "spawn", "route", "segment", "zone", "probe_only"])
+    # run --mode sets the mode, and a zone's kind its terminal rule
+    ("seed: 1\n", "mode: baseline\nseed: 1\n", "mode"),
+    ("mz_speed: 40 mph\n", "mz_speed: 40 mph\n    terminal: free\n", "zones[0].terminal"),
+], ids=["top", "bounds", "baseline", "spawn", "route", "segment", "zone", "probe_only",
+        "mode", "terminal"])
 def test_unknown_key_rejected(old, new, path):
     # an optional key read with its default would otherwise load a misspelt
     # key as the default value; test_zone_geometry_identity_enforced holds
@@ -115,10 +122,11 @@ def test_unknown_key_rejected(old, new, path):
 
 
 def test_mz_speed_above_segment_limit_rejected():
-    doc = table1_text().replace("mz_speed: 18.6 mph\n    terminal: mz_speed",
-                                "mz_speed: 40 mph\n    terminal: mz_speed", 1)
-    with pytest.raises(ConfigError, match="exceeds"):
+    doc = table1_text().replace("mz_speed: 18.6 mph", "mz_speed: 40 mph", 1)
+    assert "mz_speed: 40 mph" in doc
+    with pytest.raises(ConfigError, match="exceeds") as info:
         load_config(doc)
+    assert info.value.path == "zones[1].mz_speed"
 
 
 @pytest.mark.parametrize("old, new, path", [
@@ -178,6 +186,27 @@ def test_load_is_idempotent():
         twin = again.route(route.name)
         assert twin.length == route.length
         assert twin.limit_boundaries() == route.limit_boundaries()
+
+
+def test_every_field_the_format_carries_round_trips():
+    # each value apart from its default and from Table-1's, so a serializer
+    # that dropped or misnamed any key would load that field differently
+    cfg = load_config(table1_text())
+    cfg = dataclasses.replace(
+        cfg, seed=7, headway=1.7,
+        bounds=Bounds(u_min=-2.5, u_max=1.25, v_min=0.5, v_max=19.0),
+        baseline=BaselineParams(max_accel=1.1, comfort_decel=2.6, min_gap=2.7, headway=1.4,
+                                yield_gap=3.3, speed_exponent=3.5),
+        spawn=SpawnParams(min_lead=3.1),
+        routes=tuple(dataclasses.replace(r, flow_vps=r.flow_vps + 0.01, segments=tuple(
+            RouteSegment(length=s.length + 0.5, limit=s.limit + 0.25) for s in r.segments))
+            for r in cfg.routes),
+        zones=tuple(dataclasses.replace(z, approaches=tuple(
+            dataclasses.replace(ap, priority=not ap.priority) for ap in z.approaches))
+            for z in cfg.zones))
+    text = serialize_config(cfg)
+    assert load_config(text) == cfg
+    assert "mode" not in text and "terminal" not in text
 
 
 def _linear_limit(route, s):

@@ -49,7 +49,7 @@ def test_poisson_count_within_three_sigma():
 
 
 def test_zero_flow_spawns_nothing():
-    cfg = load_config(ZERO_FLOW)
+    cfg = dataclasses.replace(load_config(ZERO_FLOW), mode="baseline")
     res = sim.run(cfg)
     assert res.spawned == 0 and not res.rows
 
@@ -391,7 +391,7 @@ def test_short_runs_have_no_rear_end_or_lateral_violations():
 
 
 def test_yielding_vehicle_stops_within_half_meter_of_the_line():
-    cfg = load_config(YIELD_TRAP)
+    cfg = dataclasses.replace(load_config(YIELD_TRAP), mode="baseline")
     res = sim.run(cfg)
     stopped = [(t, s) for t, vid, route, s, v, u, zone in res.rows
                if route == "minor" and v < 0.1 and s > 200.0]
@@ -591,7 +591,6 @@ def test_report_scores_each_row_in_its_better_direction():
 
 
 ZERO_FLOW = """
-mode: baseline
 seed: 1
 dt: 0.1 s
 horizon: 10 s
@@ -609,7 +608,6 @@ zones: []
 # a minor road facing a saturated priority stream: the acceptance window
 # never opens, so the minor vehicle must stop at the line
 YIELD_TRAP = """
-mode: baseline
 seed: 12
 dt: 0.1 s
 horizon: 60 s
@@ -631,14 +629,12 @@ zones:
     length: 100 m
     mz_length: 15 m
     mz_speed: 17.8816 m/s
-    terminal: free
     approaches:
       - {route: minor, lane: ramp, mz_entry: 350 m, priority: false}
       - {route: major, lane: through, mz_entry: 350 m, priority: true}
 """
 
 TWO_LANE_MERGE = """
-mode: optimal
 seed: 1
 dt: 0.1 s
 horizon: 40 s
@@ -660,7 +656,6 @@ zones:
     length: 100 m
     mz_length: 20 m
     mz_speed: 17.8816 m/s
-    terminal: free
     approaches:
       - {route: main, lane: shared_main, mz_entry: 350 m, priority: false}
       - {route: side, lane: side_lane, mz_entry: 350 m, priority: true}

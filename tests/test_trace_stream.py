@@ -9,7 +9,13 @@ import gc
 import io
 import math
 import os
+import pathlib
+import re
 import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -346,6 +352,62 @@ def test_bad_out_raises_before_the_fork(tmp_path, forks):
     with pytest.raises(FileNotFoundError):
         cli._run_one(load_config_file(BENCH), "optimal", 1, str(tmp_path / "missing"))
     assert forks == []
+
+
+def test_sigterm_leaves_no_file_of_the_tag_and_no_process(tmp_path):
+    # SIGTERM, the signal of kill and timeout, ends a run as Ctrl-C does; a
+    # 3600 s horizon keeps the first run going past the signal
+    text = pathlib.Path(TABLE1).read_text()
+    cfg = tmp_path / "table1_3600s.yaml"
+    cfg.write_text(re.sub(r"(?m)^horizon: .*$", "horizon: 3600 s", text))
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corridorsim.cli", "run", "--config", str(cfg),
+         "--mode", "both", "--seeds", "1", "--out", str(out)],
+        stderr=subprocess.PIPE, text=True)
+    children = pathlib.Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    writers = []
+    try:
+        deadline = time.monotonic() + 60.0
+        # running: the trace is open and, on two CPUs, its writer forked
+        while not (out / "trace_baseline_1.csv.part").exists() or (
+                metrics._writer_process_helps() and children.exists() and not writers):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "run never started its trace"
+            time.sleep(0.02)
+            if children.exists():
+                writers = [int(pid) for pid in children.read_text().split()]
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 128 + signal.SIGTERM, err
+    assert err == ""
+    assert _left(out) == []
+    for pid in writers:     # reaped, not left running or a zombie
+        assert not pathlib.Path(f"/proc/{pid}").exists(), pid
+
+
+def test_run_from_a_thread_keeps_the_sigterm_handler(tmp_path):
+    # tests and benchmarks call main in-process, from any thread: run sets
+    # its handler only in the main thread and puts the old one back
+    before = signal.getsignal(signal.SIGTERM)
+    rc = []
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc.append(cli.main(["run", "--config", BENCH, "--mode", "baseline", "--seeds", "1",
+                                "--out", str(tmp_path / "thread")]))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and rc == [0]
+    run()
+    assert rc == [0, 0]
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 ROWS = "".join(f"{k / 10:.3f},{vid},main,{100.0 * vid + k:.9f},10.000000000,0.000000000,0\n"

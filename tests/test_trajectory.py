@@ -405,9 +405,9 @@ def test_plan_merge_books_what_a_scan_finds():
     found = moved = far = 0
     for bc, bounds in _random_states(2000):
         vt = bc.terminal_speed
-        zone = ConflictZoneSpec(index=1, kind="merge", cz_length=100.0, mz_length=15.0,
-                                mz_speed=17.8816 if vt is None else vt, approaches=(),
-                                terminal_rule="free" if vt is None else "mz_speed")
+        zone = ConflictZoneSpec(index=1, kind="merge" if vt is None else "speed_reduction",
+                                cz_length=100.0, mz_length=15.0,
+                                mz_speed=17.8816 if vt is None else vt, approaches=())
         plan = plan_merge(bc.p0, bc.v0, bc.t0, bc.p_mz, zone, bc.tm, bounds)
         reach = 10.0
         if plan.clean and plan.tm - bc.tm > reach:
