@@ -27,9 +27,9 @@ import time
 from corridorsim.core import ConfigError, CorridorConfig, load_config_file
 from corridorsim import sim
 from corridorsim.metrics import (
+    Crossings,
     Metrics,
     MetricsAccumulator,
-    OccupancyRows,
     TraceSink,
     iter_trace,
     occupancy_from_trace,
@@ -163,14 +163,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load(args.config)
-    kept = OccupancyRows(cfg)
+    crossings = Crossings(cfg)
     try:
         # the one read of the file, a time step at a time
-        rear = rear_end_check(kept.through(read_steps(args.trace)), cfg)
+        rear = rear_end_check(crossings.through(read_steps(args.trace)), cfg)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lateral = occupancy_from_trace(kept.rows(), cfg)
+    lateral = occupancy_from_trace(crossings, cfg)
     print(f"rear-end violations:  {len(rear)}")
     for t, follower, leader, gap, need in rear[:20]:
         print(f"  t={t:.1f}s vehicle {follower} behind {leader}: "

@@ -29,6 +29,8 @@ __all__ = [
     "SpawnParams",
     "CorridorConfig",
     "VehicleState",
+    "crossed",
+    "crossing_time",
     "load_config",
     "load_config_file",
     "serialize_config",
@@ -263,6 +265,24 @@ class VehicleState:
     u: float = 0.0    # control executed over the current step
 
 
+def crossed(s: float, line: float) -> bool:
+    """Whether a vehicle at ``s`` counts as past ``line``: the one rule the
+    simulation, the trace checks and the report apply to every line."""
+    return s >= line - 1e-9
+
+
+def crossing_time(t: float, t_next: float, s: float, v_new: float, line: float) -> float:
+    """The instant in [t, t_next] at which a vehicle at ``s`` at ``t``, moving
+    at the integrator's new speed ``v_new`` over the step, reaches ``line``:
+    ``t + (line - s) / v_new``, clamped; ``t`` for a vehicle already at or
+    past the line, or one that does not move."""
+    gap = line - s
+    if not (gap > 0.0 and v_new > 0.0):
+        return t
+    tc = t + gap / v_new
+    return t_next if tc > t_next else tc
+
+
 # ---------------------------------------------------------------------------
 # loading
 
@@ -291,6 +311,13 @@ def _require(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ConfigError(f"missing required key {key!r}", path)
     return mapping[key]
+
+
+def _optional(mapping: dict, key: str):
+    """``mapping[key]``, or an empty mapping where the key is missing or
+    null: any other value is checked as given."""
+    value = mapping.get(key)
+    return {} if value is None else value
 
 
 def _number(raw, path: str) -> float:
@@ -469,11 +496,11 @@ def load_config(text: str) -> CorridorConfig:
             if s1 < e0 - 1e-9:
                 raise ConfigError(f"zones {i0} and {i1} overlap on route {name!r}", "zones")
 
-    baseline = BaselineParams(**_fields(doc.get("baseline") or {}, _BASELINE_KEYS, "baseline",
+    baseline = BaselineParams(**_fields(_optional(doc, "baseline"), _BASELINE_KEYS, "baseline",
                                         required=False))
     if baseline.max_accel <= 0 or baseline.comfort_decel <= 0:
         raise ConfigError("baseline accelerations must be strictly positive", "baseline")
-    spawn = SpawnParams(**_fields(doc.get("spawn") or {}, _SPAWN_KEYS, "spawn", required=False))
+    spawn = SpawnParams(**_fields(_optional(doc, "spawn"), _SPAWN_KEYS, "spawn", required=False))
 
     return CorridorConfig(
         dt=dt, horizon=horizon, main_route=main_route, bounds=bounds,

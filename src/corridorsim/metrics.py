@@ -31,7 +31,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 from corridorsim.coordinator import OccupancyInterval, ScheduleEntry, occupancy_check
-from corridorsim.core import CorridorConfig
+from corridorsim.core import CorridorConfig, crossed, crossing_time
 
 __all__ = [
     "TRACE_HEADER",
@@ -50,7 +50,7 @@ __all__ = [
     "summarize",
     "rear_end_check",
     "occupancy_from_trace",
-    "OccupancyRows",
+    "Crossings",
     "render_report",
 ]
 
@@ -59,7 +59,7 @@ _HEADER_BYTES = TRACE_HEADER.encode()
 SCHEDULE_HEADER = "vehicle,zone,t0,tm,tf,v_at_tm,relation,lane,truncated"
 STOP_SPEED = 0.1
 _REAR_END_TOL = 1e-6    # m of headway gap shortfall the rear-end check forgives
-_OCCUPANCY_TOL = 1e-2   # s of trace-interpolated MZ overlap the lateral check forgives
+_OCCUPANCY_TOL = 1e-2   # s of MZ overlap the lateral check forgives
 
 
 _ROW_FORMAT = "%.3f,%d,%s,%.9f,%.9f,%.9f,%d\n"
@@ -351,17 +351,68 @@ class Metrics:
     censored: int = 0
 
 
-class MetricsAccumulator:
-    """``compute_metrics`` in one pass: ``add`` takes rows in trace order, in
-    as many calls as it likes, and keeps a few numbers per vehicle, not its
-    rows; ``result`` gives the ``Metrics``."""
+class Crossings:
+    """Per-vehicle fold of trace rows in time order: each vehicle's first
+    and last row and, for each line of its route it crossed (every zone's
+    ``cz_start``, ``mz_start`` and ``mz_end``, and the route end), the
+    instant ``crossing_time`` gives from the row before and the new speed
+    in the row at the crossing; the first row crosses at its own time the
+    lines it is already past. ``rows``, if given, are folded at once."""
 
-    def __init__(self, config: CorridorConfig) -> None:
+    def __init__(self, config: CorridorConfig, rows: Iterable[tuple] = ()) -> None:
         self.config = config
-        # vehicle id -> [first row, last row, effort, work, zone -> steps
-        # inside, stops, last row below STOP_SPEED]; effort, work and dwell
-        # take a row once a later one shows it was not the vehicle's last
+        # route -> its lines ascending, closed by a NaN no s crosses
+        self._lines = {}
+        for route in config.routes:
+            lines = {route.length}
+            for zone, ap in config.zones_on(route.name):
+                lines.update((ap.cz_start, ap.mz_start, ap.mz_start + zone.mz_length))
+            self._lines[route.name] = (*sorted(lines), math.nan)
+        # vehicle id -> [first row, last row, its route's lines, line -> the
+        # instant it crossed it, the next line]
         self._vehicles: dict[int, list] = {}
+        self.add(rows)
+
+    def _start(self, row: tuple) -> list:
+        lines = self._lines.get(row[2], _NO_LINES)
+        st = [row, row, lines, {}, lines[0]]
+        self._cross(st, row)    # at row[0]: the step from a row to itself
+        return st
+
+    @staticmethod
+    def _cross(st: list, row: tuple) -> None:
+        """Record the lines ``row`` is past and the last row was not."""
+        prev, lines, instants, line = st[1:5]
+        while crossed(row[3], line):
+            instants[line] = crossing_time(prev[0], row[0], prev[3], row[4], line)
+            line = lines[len(instants)]
+        st[4] = line
+
+    def add(self, rows: Iterable[tuple]) -> None:
+        vehicles = self._vehicles
+        for row in rows:
+            st = vehicles.get(row[1])
+            if st is None:
+                vehicles[row[1]] = self._start(row)
+                continue
+            if crossed(row[3], st[4]):
+                self._cross(st, row)
+            st[1] = row
+
+    def through(self, steps: Iterable[tuple[float, list[tuple]]]):
+        """Pass ``steps`` on unchanged, folding the rows of each."""
+        for step in steps:
+            self.add(step[1])
+            yield step
+
+
+_NO_LINES = (math.nan,)
+
+
+class MetricsAccumulator(Crossings):
+    """``compute_metrics`` in one pass: ``add`` takes rows in trace order, in
+    as many calls as it likes, and keeps the crossing instants and a few
+    numbers per vehicle, not its rows; ``result`` gives the ``Metrics``."""
 
     def add(self, rows: Iterable[tuple]) -> None:
         dt = self.config.dt
@@ -370,46 +421,52 @@ class MetricsAccumulator:
             st = vehicles.get(row[1])
             if st is None:
                 below = row[4] < STOP_SPEED
-                vehicles[row[1]] = [row, row, 0.0, 0.0, {}, int(below), below]
+                # the fold's fields, then effort, work, stops and whether the
+                # last row was below STOP_SPEED; effort and work take a row
+                # once a later one shows it was not the vehicle's last
+                vehicles[row[1]] = self._start(row) + [0.0, 0.0, int(below), below]
                 continue
-            _, _, _, _, v, u, zone = st[1]
-            st[2] += u * u * dt
+            _, _, _, _, v, u, _ = st[1]
+            st[5] += u * u * dt
             w = u * v
-            st[3] += (w if w > 0.0 else 0.0) * dt    # max(0.0, u * v)
-            if zone:
-                dwell = st[4]
-                dwell[zone] = dwell.get(zone, 0) + 1
+            st[6] += (w if w > 0.0 else 0.0) * dt    # max(0.0, u * v)
             below = row[4] < STOP_SPEED
-            if below and not st[6]:
-                st[5] += 1
-            st[6] = below
+            if below and not st[8]:
+                st[7] += 1
+            st[8] = below
+            if crossed(row[3], st[4]):
+                self._cross(st, row)
             st[1] = row
 
     def result(self) -> Metrics:
+        """Means over the vehicles that crossed their route's end. Corridor
+        time (main route) runs from the first row to that crossing, and a
+        zone's time from its ``cz_start`` crossing to its ``mz_end`` one."""
         config = self.config
-        dt = config.dt
         m = Metrics()
-        lengths = {r.name: r.length for r in config.routes}
         zone_samples: dict[int, list[float]] = defaultdict(list)
         corridor_samples: list[float] = []
         efforts: list[float] = []
         works: list[float] = []
         stops: list[int] = []
-        for first, last, effort, work, dwell, stop_count, _ in self._vehicles.values():
+        for first, _, _, instants, _, effort, work, stop_count, _ in self._vehicles.values():
             route = first[2]
             m.spawned_per_route[route] = m.spawned_per_route.get(route, 0) + 1
-            if not last[3] >= lengths[route] - 1e-6:   # a NaN position is not completed
+            done = instants.get(config.route(route).length)
+            if done is None:
                 m.censored += 1
                 continue
             m.completed += 1
             m.completed_per_route[route] = m.completed_per_route.get(route, 0) + 1
             if route == config.main_route:
-                corridor_samples.append(last[0] - first[0])
+                corridor_samples.append(done - first[0])
             efforts.append(effort)
             works.append(work)
             stops.append(stop_count)
-            for zone, n in dwell.items():
-                zone_samples[zone].append(n * dt)
+            for zone, ap in config.zones_on(route):
+                out = instants.get(ap.mz_start + zone.mz_length)
+                if out is not None:
+                    zone_samples[zone.index].append(out - instants[ap.cz_start])
         if corridor_samples:
             m.corridor_time = sum(corridor_samples) / len(corridor_samples)
         m.zone_time = {z: sum(v) / len(v) for z, v in zone_samples.items()}
@@ -421,9 +478,7 @@ class MetricsAccumulator:
 
 
 def compute_metrics(rows: Iterable[tuple], config: CorridorConfig) -> Metrics:
-    acc = MetricsAccumulator(config)
-    acc.add(rows)
-    return acc.result()
+    return MetricsAccumulator(config, rows).result()
 
 
 def summarize(runs: list[Metrics]) -> dict:
@@ -503,98 +558,22 @@ def rear_end_check(steps: Iterable[tuple[float, list[tuple]]],
     return violations
 
 
-class OccupancyRows:
-    """The rows ``occupancy_from_trace`` reads, kept from one pass over a
-    trace in time order: each vehicle's first row, the first row at or past
-    each merging-zone line of its route in an exclusion zone together with
-    the row before it, and its last row. A few rows per vehicle, not the
-    trace; the check on them equals the check on every row."""
-
-    def __init__(self, config: CorridorConfig) -> None:
-        lines: dict[str, list[float]] = defaultdict(list)
-        for zone in config.zones:
-            if not zone.shared_lane:
-                for ap in zone.approaches:
-                    lines[ap.route] += (ap.mz_start, ap.mz_start + zone.mz_length)
-        # route -> its lines in ascending order, closed by a NaN no s reaches
-        self._lines = {route: (*sorted(ls), math.nan) for route, ls in lines.items()}
-        # vehicle id -> [kept rows, last row, its route's lines, next line's index]
-        self._vehicles: dict[int, list] = {}
-
-    def add(self, rows: Iterable[tuple]) -> None:
-        vehicles = self._vehicles
-        for row in rows:
-            st = vehicles.get(row[1])
-            if st is None:
-                lines = self._lines.get(row[2], _NO_LINES)
-                i = 0
-                while row[3] >= lines[i]:
-                    i += 1
-                vehicles[row[1]] = [[row], row, lines, i]
-            elif row[3] >= st[2][st[3]]:
-                kept, lines, i = st[0], st[2], st[3] + 1
-                if kept[-1] is not st[1]:
-                    kept.append(st[1])
-                kept.append(row)
-                while row[3] >= lines[i]:
-                    i += 1
-                st[1], st[3] = row, i
-            else:
-                st[1] = row
-
-    def through(self, steps: Iterable[tuple[float, list[tuple]]]):
-        """Pass ``steps`` on unchanged, keeping the rows of each."""
-        for step in steps:
-            self.add(step[1])
-            yield step
-
-    def per_vehicle(self) -> dict[int, list[tuple]]:
-        """Vehicle id -> its kept rows, in order of first appearance."""
-        out = {}
-        for vid, (kept, last, _, _) in self._vehicles.items():
-            out[vid] = kept + [last] if kept[-1] is not last else kept
-        return out
-
-    def rows(self) -> list[tuple]:
-        return [row for vrows in self.per_vehicle().values() for row in vrows]
-
-
-_NO_LINES = (math.nan,)
 _first = itemgetter(0)      # a row's t, or a merged entry's x
 _row_route = itemgetter(2)
 _row_s = itemgetter(3)
 
 
-def _crossing_time(vrows: list[tuple], boundary: float) -> float | None:
-    """Linear-interpolated time at which the vehicle position crosses the
-    boundary; None if it never does within its rows."""
-    prev = vrows[0]
-    if prev[3] >= boundary:
-        return prev[0]
-    for row in vrows[1:]:
-        if row[3] >= boundary:
-            span = row[3] - prev[3]
-            frac = 0.0 if span <= 0 else (boundary - prev[3]) / span
-            return prev[0] + frac * (row[0] - prev[0])
-        prev = row
-    return None
-
-
-def occupancy_from_trace(rows: Iterable[tuple], config: CorridorConfig) -> list:
-    """Lateral-exclusion check on actual motion: merging-zone entry and exit
-    times are interpolated from the trace, vehicles still inside at the end
-    of the data are treated as occupying until the last timestamp, and
-    overlapping cross-lane stays are reported via the same pairwise check
-    the coordinator uses. Its tolerance, ``_OCCUPANCY_TOL``, absorbs
-    interpolation error so touching intervals stay legal. ``rows`` are in
-    time order: every row of a trace, or those an ``OccupancyRows`` kept
-    from it."""
-    kept = OccupancyRows(config)
-    kept.add(rows)
-    by_vehicle = kept.per_vehicle()
-    if not by_vehicle:
-        return []
-    t_end = max(vrows[-1][0] for vrows in by_vehicle.values()) + config.dt
+def occupancy_from_trace(rows: Iterable[tuple] | Crossings, config: CorridorConfig) -> list:
+    """Lateral-exclusion check on actual motion: each vehicle occupies a
+    merging zone from the instant it crossed the zone's ``mz_start`` to the
+    instant it crossed its ``mz_end`` (``Crossings``); a vehicle still
+    inside at the end of the data occupies it until the last timestamp plus
+    ``dt``. Overlapping cross-lane stays are reported via the same pairwise
+    check the coordinator uses, forgiving ``_OCCUPANCY_TOL``. ``rows`` are
+    every row of a trace in time order, or a ``Crossings`` fed them."""
+    fold = rows if isinstance(rows, Crossings) else Crossings(config, rows)
+    vehicles = fold._vehicles
+    t_end = max((st[1][0] for st in vehicles.values()), default=0.0) + config.dt
     conflicts = []
     for zone in config.zones:
         if zone.shared_lane:
@@ -602,17 +581,10 @@ def occupancy_from_trace(rows: Iterable[tuple], config: CorridorConfig) -> list:
         intervals = []
         for ap in zone.approaches:
             mz_end = ap.mz_start + zone.mz_length
-            for vid, vrows in by_vehicle.items():
-                if vrows[0][2] != ap.route:
-                    continue
-                t_in = _crossing_time(vrows, ap.mz_start)
-                if t_in is None:
-                    continue
-                t_out = _crossing_time(vrows, mz_end)
-                if t_out is None:
-                    t_out = t_end
-                intervals.append(OccupancyInterval(vehicle_id=vid, t_enter=t_in,
-                                                   t_exit=t_out, lane=ap.lane))
+            for vid, (first, _, _, instants, *_) in vehicles.items():
+                if first[2] == ap.route and ap.mz_start in instants:
+                    intervals.append(OccupancyInterval(vid, instants[ap.mz_start],
+                                                       instants.get(mz_end, t_end), ap.lane))
         conflicts.extend(occupancy_check(zone.index, intervals, _OCCUPANCY_TOL))
     return conflicts
 

@@ -34,6 +34,8 @@ from corridorsim.core import (
     CorridorConfig,
     RouteSpec,
     VehicleState,
+    crossed,
+    crossing_time,
 )
 from corridorsim.coordinator import ScheduleEntry, ZoneCoordinator
 from corridorsim.trajectory import (
@@ -341,7 +343,6 @@ class _Route:
     def __init__(self, spec: RouteSpec, slots: list[_Slot], arrivals: list[float]):
         self.name = spec.name
         self.spec = spec
-        self.end = spec.length - 1e-9
         self.v_enter = spec.limit_at(0.0)
         bnds = spec.limit_boundaries()
         self.cuts = tuple((pos, lim) for (pos, lim), (_, prev) in zip(bnds[1:], bnds)
@@ -600,7 +601,7 @@ class Simulation:
             located = self._snapshot(t, optimal)
             rows: list[tuple] = []
             self._control(t, optimal, located, ceiling, rows)
-            self._integrate((step + 1) * self.dt, optimal, rows)
+            self._integrate(t, (step + 1) * self.dt, optimal, rows)
             sink.extend(rows)
         schedule = sorted((e for coord in self.coordinators.values() for e in coord.history),
                           key=lambda e: (e.vehicle_id, e.zone))
@@ -673,37 +674,40 @@ class Simulation:
                 leader = st
                 u_lead = u
 
-    def _integrate(self, t_next: float, optimal: bool, rows: list[tuple]) -> None:
+    def _integrate(self, t: float, t_next: float, optimal: bool, rows: list[tuple]) -> None:
         """Advance every vehicle one step; a vehicle that leaves its route
         appends its terminal row at ``t_next`` to ``rows``."""
         dt = self.dt
         passages = self.passages
         for rt in self.routes:
-            end = rt.end
+            end = rt.spec.length
             gone = False
             for st in rt.order:
+                s = st.s
                 u = st.u
                 v_new = st.v + u * dt
                 if 0.0 > v_new:     # max(v_new, 0.0)
                     v_new = 0.0
-                st.s += v_new * dt
+                st.s = s + v_new * dt
                 st.v = v_new
                 passage = passages.get(st.vehicle_id) if optimal else None
                 if passage is not None:
                     ap, zone = passage.slot.ap, passage.slot.zone
-                    if passage.phase == "cz" and st.s >= ap.mz_start - 1e-9:
+                    if passage.phase == "cz" and crossed(st.s, ap.mz_start):
                         passage.phase = "mz"
-                    if passage.phase == "mz" and st.s >= ap.mz_start + zone.mz_length - 1e-9:
-                        self.coordinators[zone.index].release(st.vehicle_id, t_next)
+                    mz_end = ap.mz_start + zone.mz_length
+                    if passage.phase == "mz" and crossed(st.s, mz_end):
+                        self.coordinators[zone.index].release(
+                            st.vehicle_id, crossing_time(t, t_next, s, v_new, mz_end))
                         del passages[st.vehicle_id]
-                if st.s >= end:
+                if crossed(st.s, end):
                     rows.append((t_next, st.vehicle_id, rt.name, st.s, v_new, u,
                                  rt.cells[bisect_right(rt.edges, st.s)][0]))
                     passages.pop(st.vehicle_id, None)
                     self._exited += 1
                     gone = True
             if gone:
-                rt.order = [st for st in rt.order if st.s < end]
+                rt.order = [st for st in rt.order if not crossed(st.s, end)]
 
 
 def run(config: CorridorConfig, rows=None) -> SimResult:

@@ -13,9 +13,11 @@ by brute force: every horizon of a 1 ms grid at once, then bisection.
 
 The trace checks at the end are the list-based reference versions of
 ``rear_end_check``, ``occupancy_from_trace`` and ``compute_metrics``: they
-hold every row, group them by time step and by vehicle, and walk each group.
-The program computes the same results in one pass; these stay as they were
-so that every result, its order and its floats can be compared with ``==``.
+hold every row, group them by time step and by vehicle, and walk each group
+(``crossing`` walks one vehicle's rows to the instant it crosses a line).
+The program computes the same results in one pass; these are written apart
+from it so that every result, its order and its floats can be compared with
+``==``.
 
 Then come the step loop's arithmetic written with builtin ``min``/``max``
 (``evaluate``, ``optimal_step``, ``baseline_step``) and the trace text of a
@@ -46,7 +48,7 @@ from corridorsim.v2x.bsm import DIST_UNIT, MSG_BSM, SPEED_UNIT, BsmFrame
 
 __all__ = ["DiscreteSolution", "solve_discrete", "solve_discrete_bounded",
            "clean_horizons", "least_clean_horizon",
-           "compute_metrics", "rear_end_check", "occupancy_from_trace",
+           "crossing", "compute_metrics", "rear_end_check", "occupancy_from_trace",
            "evaluate", "optimal_step", "baseline_step", "trace_text",
            "frame_from_state", "frames_from_trace"]
 
@@ -259,10 +261,25 @@ def _per_vehicle(rows: list[tuple]) -> dict[int, list[tuple]]:
     return by_vehicle
 
 
+def crossing(vrows: list[tuple], line: float) -> float | None:
+    """The instant the vehicle first counts as past ``line`` (a position at
+    least ``line - 1e-9``), placed within the step that crossed it at
+    t + (line - s) / v from the row before and the new speed in the row at
+    it, held inside the step; a first row already past the line crosses it
+    at its own time. None if no row is past it."""
+    if vrows[0][3] >= line - 1e-9:
+        return vrows[0][0]
+    for prev, row in zip(vrows, vrows[1:]):
+        if row[3] >= line - 1e-9:
+            if line - prev[3] > 0.0 and row[4] > 0.0:
+                return min(prev[0] + (line - prev[3]) / row[4], row[0])
+            return prev[0]
+    return None
+
+
 def compute_metrics(rows: list[tuple], config: CorridorConfig) -> Metrics:
     dt = config.dt
     m = Metrics()
-    lengths = {r.name: r.length for r in config.routes}
     zone_samples: dict[int, list[float]] = defaultdict(list)
     corridor_samples: list[float] = []
     efforts: list[float] = []
@@ -271,26 +288,22 @@ def compute_metrics(rows: list[tuple], config: CorridorConfig) -> Metrics:
     for vid, vrows in _per_vehicle(rows).items():
         route = vrows[0][2]
         m.spawned_per_route[route] = m.spawned_per_route.get(route, 0) + 1
-        completed = vrows[-1][3] >= lengths[route] - 1e-6
-        if not completed:
+        t_done = crossing(vrows, config.route(route).length)
+        if t_done is None:
             m.censored += 1
             continue
         m.completed += 1
         m.completed_per_route[route] = m.completed_per_route.get(route, 0) + 1
-        travel = vrows[-1][0] - vrows[0][0]
         if route == config.main_route:
-            corridor_samples.append(travel)
+            corridor_samples.append(t_done - vrows[0][0])
         effort = 0.0
         work = 0.0
-        zone_dwell: dict[int, int] = defaultdict(int)
         stop_count = 0
         below = vrows[0][4] < STOP_SPEED
         for row in vrows[:-1]:
-            _, _, _, _, v, u, zone = row
+            _, _, _, _, v, u, _ = row
             effort += u * u * dt
             work += max(0.0, u * v) * dt
-            if zone:
-                zone_dwell[zone] += 1
         for row in vrows:
             now_below = row[4] < STOP_SPEED
             if now_below and not below:
@@ -301,8 +314,10 @@ def compute_metrics(rows: list[tuple], config: CorridorConfig) -> Metrics:
         efforts.append(effort)
         works.append(work)
         stops.append(stop_count)
-        for zone, n in zone_dwell.items():
-            zone_samples[zone].append(n * dt)
+        for zone, ap in config.zones_on(route):
+            t_out = crossing(vrows, ap.mz_start + zone.mz_length)
+            if t_out is not None:
+                zone_samples[zone.index].append(t_out - crossing(vrows, ap.cz_start))
     if corridor_samples:
         m.corridor_time = sum(corridor_samples) / len(corridor_samples)
     m.zone_time = {z: sum(v) / len(v) for z, v in zone_samples.items()}
@@ -355,29 +370,13 @@ def rear_end_check(rows: list[tuple], config: CorridorConfig,
     return violations
 
 
-def _crossing_time(vrows: list[tuple], boundary: float) -> float | None:
-    """Linear-interpolated time at which the vehicle position crosses the
-    boundary; None if it never does within its rows."""
-    prev = vrows[0]
-    if prev[3] >= boundary:
-        return prev[0]
-    for row in vrows[1:]:
-        if row[3] >= boundary:
-            span = row[3] - prev[3]
-            frac = 0.0 if span <= 0 else (boundary - prev[3]) / span
-            return prev[0] + frac * (row[0] - prev[0])
-        prev = row
-    return None
-
-
 def occupancy_from_trace(rows: list[tuple], config: CorridorConfig,
                          tol: float = 1e-2) -> list:
     """Lateral-exclusion check on actual motion: merging-zone entry and exit
-    times are interpolated from the trace, vehicles still inside at the end
-    of the data are treated as occupying until the last timestamp, and
+    are the crossings of its two lines, vehicles still inside at the end of
+    the data are treated as occupying until the last timestamp plus dt, and
     overlapping cross-lane stays are reported via the same pairwise check
-    the coordinator uses. The tolerance absorbs interpolation error so
-    touching intervals stay legal."""
+    the coordinator uses."""
     if not rows:
         return []
     t_end = max(row[0] for row in rows) + config.dt
@@ -392,10 +391,10 @@ def occupancy_from_trace(rows: list[tuple], config: CorridorConfig,
             for vid, vrows in by_vehicle.items():
                 if vrows[0][2] != ap.route:
                     continue
-                t_in = _crossing_time(vrows, ap.mz_start)
+                t_in = crossing(vrows, ap.mz_start)
                 if t_in is None:
                     continue
-                t_out = _crossing_time(vrows, mz_end)
+                t_out = crossing(vrows, mz_end)
                 if t_out is None:
                     t_out = t_end
                 intervals.append(OccupancyInterval(vehicle_id=vid, t_enter=t_in,

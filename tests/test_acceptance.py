@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from corridorsim.coordinator import ZoneCoordinator, occupancy_check
+from corridorsim.coordinator import OccupancyInterval, ZoneCoordinator, occupancy_check
 from corridorsim.core import load_config_file
 from corridorsim import sim
 from corridorsim.metrics import (
@@ -179,6 +179,7 @@ def test_criterion_3_schedules_and_traces_are_conflict_free():
 
     rear = 0
     lateral = 0
+    booked = 0
     sim_truncs = 0
     relaxations = 0
     for seed in range(1, 7):
@@ -187,15 +188,22 @@ def test_criterion_3_schedules_and_traces_are_conflict_free():
         result = sim.run(run_cfg)
         rear += len(rear_end_check(by_step(result.rows), run_cfg))
         lateral += len(occupancy_from_trace(result.rows, run_cfg))
+        # the run's own books: released entries end at the exact exit
+        for zone in run_cfg.zones:
+            booked += len(occupancy_check(zone.index, [
+                OccupancyInterval(e.vehicle_id, e.tm, e.tf, e.lane)
+                for e in result.schedule if e.zone == zone.index]))
         sim_truncs += result.events.get("gap_truncations", 0)
         relaxations += result.events.get("tm_relaxations", 0)
 
     elapsed = time.perf_counter() - t_start
-    ok = conflict_pairs == 0 and rear == 0 and lateral == 0 and elapsed < 120.0
+    ok = (conflict_pairs == 0 and rear == 0 and lateral == 0 and booked == 0
+          and elapsed < 120.0)
     verdict(3, "conflict-free schedules", ok,
             f"1000 streams / {registrations} bookings: {conflict_pairs} lateral "
             f"overlaps, {truncations} schedule truncations; 6 full runs: "
-            f"{rear} rear-end, {lateral} lateral, {sim_truncs} truncations, "
+            f"{rear} rear-end, {lateral} lateral, {booked} booked overlaps, "
+            f"{sim_truncs} truncations, "
             f"{relaxations} relaxations (reported, not failures); "
             f"{elapsed:.1f} s (budget 120 s)")
 

@@ -106,6 +106,10 @@ _BAD_EDITS = {
                      "baseline.speed_exponent: expected a finite number, got inf"),
     "word-priority": ("priority: false}", "priority: nope}",
                       "zones[0].approaches[0].priority: expected true or false, got 'nope'"),
+    "false-baseline": ("baseline:\n  max_accel: 1.5 m/s2\n  comfort_decel: 3.0 m/s2\n"
+                       "  min_gap: 2.0 m\n  headway: 1.2 s\n  yield_gap: 4.0 s\n"
+                       "  speed_exponent: 4.0\n", "baseline: false\n",
+                       "baseline: must be a mapping"),
 }
 
 

@@ -14,6 +14,8 @@ from corridorsim.core import (
     RouteSegment,
     RouteSpec,
     SpawnParams,
+    crossed,
+    crossing_time,
     load_config,
     load_config_file,
     parse_quantity,
@@ -119,6 +121,64 @@ def test_unknown_key_rejected(old, new, path):
         load_config(doc)
     assert info.value.path == path
     assert str(info.value).startswith(f"{path}: unknown key")
+
+
+def _with_block(key, value):
+    """Table-1 with the whole ``key`` mapping replaced by ``key: value``."""
+    lines = table1_text().split("\n")
+    start = lines.index(f"{key}:")
+    stop = lines.index("", start)
+    return "\n".join(lines[:start] + [f"{key}: {value}" if value else f"{key}:"] + lines[stop:])
+
+
+@pytest.mark.parametrize("key", ["baseline", "spawn"])
+@pytest.mark.parametrize("value", ["0", '""', "[]", "false"])
+def test_optional_mapping_that_is_not_one_rejected(key, value):
+    # a value that is not a mapping is an error even where it is falsy; only
+    # a missing key or a null value means the defaults
+    with pytest.raises(ConfigError) as info:
+        load_config(_with_block(key, value))
+    assert str(info.value) == f"{key}: must be a mapping"
+
+
+@pytest.mark.parametrize("key", ["baseline", "spawn"])
+def test_optional_mapping_left_out_or_null_takes_the_defaults(key):
+    defaults = {"baseline": BaselineParams(), "spawn": SpawnParams()}[key]
+    null = load_config(_with_block(key, ""))
+    assert getattr(null, key) == defaults
+    assert load_config(_with_block(key, "null")) == null
+    gone = table1_text().split("\n")
+    start = gone.index(f"{key}:")
+    assert load_config("\n".join(gone[:start] + gone[gone.index("", start):])) == null
+
+
+# ---------------------------------------------------------------------------
+# the crossing rule
+
+
+def test_a_step_that_ends_on_the_line_crosses_it_at_the_step_end():
+    # s + v * dt lands exactly on the line: crossed, at t + dt
+    t, dt, s, v = 1.0, 0.5, 10.0, 4.0
+    assert s + v * dt == 12.0 and crossed(s + v * dt, 12.0)
+    assert crossing_time(t, t + dt, s, v, 12.0) == t + dt
+    # a hair short of the line, inside the slack, still counts as crossed
+    assert crossed(12.0 - 1e-9, 12.0) and not crossed(12.0 - 2e-9, 12.0)
+
+
+def test_a_vehicle_that_stops_within_the_slack_of_a_line_is_there_from_the_step_start():
+    line = 350.0
+    for s in (line - 1e-9, line - 5e-10, math.nextafter(line, 0.0)):
+        assert crossed(s, line)
+        # v_new = 0: no division, and the instant stays inside the step
+        assert crossing_time(4.2, 4.3, s, 0.0, line) == 4.2
+        # barely moving: t + gap / v would pass the step end; it is clamped
+        assert crossing_time(4.2, 4.3, s, 1e-15, line) == 4.3
+
+
+def test_a_line_at_zero_is_crossed_where_the_vehicle_spawns():
+    assert crossed(0.0, 0.0)
+    assert crossing_time(3.2, 3.3, 0.0, 17.0, 0.0) == 3.2
+    assert crossing_time(3.2, 3.3, 0.5, 17.0, 0.0) == 3.2      # already past
 
 
 def test_mz_speed_above_segment_limit_rejected():

@@ -28,6 +28,7 @@ from corridorsim.trajectory import (
     terminal_speed,
 )
 from corridorsim.v2x.replay import frames_from_trace
+import oracles
 from oracles import trace_text
 
 TABLE1 = "configs/table1.yaml"
@@ -300,8 +301,8 @@ def test_two_runs_same_seed_bitwise_identical():
 # sha256 over trace, schedule and events bytes of Table-1 cut to 60 s; the
 # step loop and the writers must reproduce them bit for bit
 GOLDEN_60S = {
-    ("optimal", 1): "4f836bc5dc97b762e89ad2eff4502905f3cde5a3e897f9c75df12d7ceee2c604",
-    ("optimal", 3): "cd076445c2adfba137fc1b4908343d5671937f6bbff3369fba0ff769923d1077",
+    ("optimal", 1): "baf57999f1e7fcf78b6986ac73f5ffafa8b133d0b0e4f7fe8a84d57c0ce2c165",
+    ("optimal", 3): "3df08bc30b5e8719258dc510d94fb1f95842f0947e87765abd93706fc8618826",
     ("baseline", 1): "406a2a3ff4e03b1089f7ff33ea8587eb340396ffed80605d17b0e505742cb47a",
     ("baseline", 3): "c343650852f8e0278ac1730f9f4a6d35720c4a08cb4262cfa7ac08a9679dfd8d",
 }
@@ -434,12 +435,20 @@ def test_unreleased_schedule_rows_keep_the_booked_exit(seed):
 # and the lateral pairs verify still finds in each trace. Each remaining
 # pair is booked back to back; the first vehicle reaches the line 10-25 ms
 # behind its plan under a governor cap, and the follower enters on time.
+# The coordinator's book, whose released entries end at the instant the
+# crossing rule places the vehicle on the merging zone's end (the instant the
+# trace's rows give), names these pairs and the lag pairs whose overlap the
+# lateral check forgives (under 0.01 s), and no other.
 LATERAL_PAIRS = {
     (300.0, 3): {(1, 212, 209)},
     (300.0, 13): set(),
     (300.0, 25): {(1, 93, 91)},
     (300.0, 38): {(1, 38, 40)},
     (600.0, 13): set(),
+}
+FORGIVEN_LAG_PAIRS = {
+    (300.0, 13): {(1, 200, 201)},
+    (600.0, 13): {(1, 200, 201), (3, 209, 274)},
 }
 
 
@@ -448,14 +457,34 @@ def test_bookings_stay_conflict_free_after_replans(horizon, seed):
     cfg = table1(mode="optimal", horizon=horizon, seed=seed)
     res = sim.run(cfg)
     assert res.events["follower_pushes"] > 0
+    by_vehicle = _by_vehicle(res.rows)
+    executed = set()
     for zone in cfg.zones:
         if zone.shared_lane:
             continue
+        entries = {e.vehicle_id: e for e in res.schedule if e.zone == zone.index}
         booked = [OccupancyInterval(e.vehicle_id, e.tm, e.tm + zone.mz_length / e.v_at_tm, e.lane)
-                  for e in res.schedule if e.zone == zone.index]
+                  for e in entries.values()]
         assert occupancy_check(zone.index, booked) == []
+        book = [OccupancyInterval(e.vehicle_id, e.tm, e.tf, e.lane) for e in entries.values()]
+        for pair in occupancy_check(zone.index, book):
+            executed.add((zone.index, pair.vehicle_a, pair.vehicle_b))
+            # the first of the pair reached the line after its booked time
+            first = entries[pair.vehicle_a]
+            vrows = by_vehicle[first.vehicle_id]
+            assert oracles.crossing(vrows, zone.approach_for(vrows[0][2]).mz_start) > first.tm
     lateral = metrics.occupancy_from_trace(res.rows, cfg)
     assert {(p.zone, p.vehicle_a, p.vehicle_b) for p in lateral} == LATERAL_PAIRS[(horizon, seed)]
+    assert executed == LATERAL_PAIRS[(horizon, seed)] | FORGIVEN_LAG_PAIRS.get((horizon, seed), set())
+    released = 0
+    for e in res.schedule:
+        vrows = by_vehicle[e.vehicle_id]
+        zone, ap = next((z, ap) for z, ap in cfg.zones_on(vrows[0][2]) if z.index == e.zone)
+        t_out = oracles.crossing(vrows, ap.mz_start + zone.mz_length)
+        if t_out is not None:   # released; otherwise tf is the booked exit
+            released += 1
+            assert abs(t_out - e.tf) <= 1e-9, e
+    assert released > len(res.schedule) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +579,35 @@ def test_occupancy_from_trace_catches_cross_lane_overlap():
     assert conflicts
     pair = conflicts[0]
     assert {pair.vehicle_a, pair.vehicle_b} == {1, 2}
+
+
+def test_a_vehicle_still_inside_at_the_end_occupies_until_the_last_time_plus_dt():
+    cfg = load_config(TWO_LANE_MERGE)
+    rows = []
+    for k in range(11):     # the data ends at t = 1.0 s with both inside
+        t = k / 10
+        rows.append((t, 1, "main", 349.5 + 0.2 * k, 2.0, 0.0, 1))
+        rows.append((t, 2, "side", 349.0 + 0.2 * k, 2.0, 0.0, 1))
+    conflicts = metrics.occupancy_from_trace(rows, cfg)
+    assert conflicts == oracles.occupancy_from_trace(rows, cfg)
+    (pair,) = conflicts
+    assert (pair.vehicle_a, pair.vehicle_b) == (1, 2)
+    # at 0.4 s, 2 is 0.2 m short of the line at 2 m/s: it enters at 0.5 s
+    assert pair.overlap_start == pytest.approx(0.5, abs=1e-12)
+    assert pair.overlap_end == 1.0 + cfg.dt
+
+
+def test_a_line_at_the_spawn_point_is_crossed_at_the_first_row():
+    # zone 1's control zone starts at 0 m, where the vehicle spawns at 1.3 s;
+    # it leaves the merging zone (370 m) and the route (500 m) on a row
+    cfg = load_config(TWO_LANE_MERGE.replace("length: 100 m", "length: 350 m"))
+    assert cfg.zones[0].approach_for("main").cz_start == 0.0
+    rows = [((13 + k) / 10, 1, "main", float(k), 10.0, 0.0, 1 if k < 370 else 0)
+            for k in range(501)]
+    m = metrics.compute_metrics(rows, cfg)
+    assert m == oracles.compute_metrics(rows, cfg)
+    assert m.zone_time == {1: pytest.approx(37.0, abs=1e-9)}
+    assert m.corridor_time == pytest.approx(50.0, abs=1e-9)
 
 
 def test_same_lane_zone_is_exempt_from_occupancy():
