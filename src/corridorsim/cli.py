@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import dataclasses
 import logging
+import math
 import os
 import signal
 import sys
@@ -78,9 +79,42 @@ def _load(path: str) -> CorridorConfig:
         raise SystemExit(2)
 
 
+def _port(text: str) -> int:
+    """A TCP port, 0 to 65535: the argparse type of ``--port``."""
+    try:
+        number = int(text)
+    except ValueError:
+        number = -1
+    if not 0 <= number <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be in [0, 65535], got {text!r}")
+    return number
+
+
 def _address(text: str) -> tuple[str, int]:
+    """``host:port``, the host 127.0.0.1 where left out: the argparse type
+    of ``--address``."""
     host, _, port = text.rpartition(":")
-    return (host or "127.0.0.1", int(port))
+    return (host or "127.0.0.1", _port(port))
+
+
+def _ranged(what: str, holds):
+    """An argparse type: the float ``text`` names, where it is finite and
+    ``holds`` for it."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and holds(value)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_share = _ranged("a finite share in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+# a socket timeout past about 9.2e9 s overflows
+_idle_timeout = _ranged("> 0 and at most 1e9 s", lambda x: 0.0 < x <= 1e9)
+_rate = _ranged("finite and >= 0", lambda x: x >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +349,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
     cfg = _load(args.config)
     try:
-        sent = replay_publish(args.trace, _address(args.address), cfg,
+        sent = replay_publish(args.trace, args.address, cfg,
                               rate=args.rate, schedule_path=args.schedule)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -329,11 +363,15 @@ def cmd_headunit(args: argparse.Namespace) -> int:
 
     cfg = _load(args.config)
     core = HeadUnitCore(cfg)
+    try:
+        stream = run_over_socket(args.address, core, idle_timeout=args.idle_timeout)
+    except OSError as exc:    # the broker cannot be reached
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sink = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     try:
         sink.write("t,command\n")
-        for t, v in run_over_socket(_address(args.address), core,
-                                    idle_timeout=args.idle_timeout):
+        for t, v in stream:
             sink.write(f"{t:.3f},{v:.9f}\n")
             sink.flush()
     except KeyboardInterrupt:
@@ -350,9 +388,16 @@ def cmd_headunit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as the verbs report bad input: one
+    ``error:`` line on stderr, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="corridorsim",
-                                 description="corridor coordination simulator")
+    ap = _Parser(prog="corridorsim", description="corridor coordination simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="simulate and write traces plus a report")
@@ -372,31 +417,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--schedule")
-    p.add_argument("--rate", type=float, default=0.0,
+    p.add_argument("--rate", type=_rate, default=0.0,
                    help="publish pacing in frames/s; 0 floods (default)")
-    p.add_argument("--idle-timeout", type=float, default=2.0)
-    p.add_argument("--drop-prob", type=float, default=0.0)
+    p.add_argument("--idle-timeout", type=_idle_timeout, default=2.0)
+    p.add_argument("--drop-prob", type=_share, default=0.0)
     p.add_argument("--out", help="write the socket command stream as CSV")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("broker", help="run a stand-alone broker")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7700)
-    p.add_argument("--drop-prob", type=float, default=0.0)
+    p.add_argument("--port", type=_port, default=7700)
+    p.add_argument("--drop-prob", type=_share, default=0.0)
     p.set_defaults(func=cmd_broker)
 
     p = sub.add_parser("replay", help="publish a trace as message frames")
     p.add_argument("--config", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--schedule")
-    p.add_argument("--address", default="127.0.0.1:7700")
-    p.add_argument("--rate", type=float, default=100.0)
+    p.add_argument("--address", type=_address, default="127.0.0.1:7700")
+    p.add_argument("--rate", type=_rate, default=100.0)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("headunit", help="stream speed commands from a broker")
     p.add_argument("--config", required=True)
-    p.add_argument("--address", default="127.0.0.1:7700")
-    p.add_argument("--idle-timeout", type=float, default=2.0)
+    p.add_argument("--address", type=_address, default="127.0.0.1:7700")
+    p.add_argument("--idle-timeout", type=_idle_timeout, default=2.0)
     p.add_argument("--out", help="command CSV path, - for stdout")
     p.set_defaults(func=cmd_headunit)
 

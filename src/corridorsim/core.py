@@ -8,7 +8,6 @@ works in SI units.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import re
 from bisect import bisect_right
@@ -25,8 +24,6 @@ __all__ = [
     "ConflictZoneSpec",
     "RouteSegment",
     "RouteSpec",
-    "BaselineParams",
-    "SpawnParams",
     "CorridorConfig",
     "VehicleState",
     "crossed",
@@ -199,23 +196,6 @@ class ConflictZoneSpec:
 
 
 @dataclass(frozen=True)
-class BaselineParams:
-    """Car-following and yield parameters for the baseline driver model."""
-
-    max_accel: float = 1.5
-    comfort_decel: float = 3.0
-    min_gap: float = 2.0
-    headway: float = 1.2
-    yield_gap: float = 4.0
-    speed_exponent: float = 4.0
-
-
-@dataclass(frozen=True)
-class SpawnParams:
-    min_lead: float = 2.0
-
-
-@dataclass(frozen=True)
 class CorridorConfig:
     """A loaded scenario. ``mode`` is not part of the document: ``run
     --mode`` sets it on a copy for each run."""
@@ -229,8 +209,6 @@ class CorridorConfig:
     seed: int = 0
     headway: float = 1.2
     mode: str = "optimal"
-    baseline: BaselineParams = field(default_factory=BaselineParams)
-    spawn: SpawnParams = field(default_factory=SpawnParams)
     _by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):   # the first route of a name wins, as in a scan
@@ -286,13 +264,10 @@ def crossing_time(t: float, t_next: float, s: float, v_new: float, line: float) 
 # ---------------------------------------------------------------------------
 # loading
 
-# key -> dimension (None: a bare number) of each mapping whose keys are its
-# dataclass's fields; the key check, the parsing and serialize_config read these
+# key -> dimension of each mapping whose keys are its dataclass's fields, all
+# required; the key check, the parsing and serialize_config read these
 _BOUNDS_KEYS = {"u_min": "accel", "u_max": "accel", "v_min": "speed", "v_max": "speed"}
 _SEGMENT_KEYS = {"length": "length", "limit": "speed"}
-_BASELINE_KEYS = {"max_accel": "accel", "comfort_decel": "accel", "min_gap": "length",
-                  "headway": "time", "yield_gap": "time", "speed_exponent": None}
-_SPAWN_KEYS = {"min_lead": "length"}
 
 
 def _mapping(raw, keys: Collection[str], path: str) -> dict:
@@ -313,33 +288,12 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _optional(mapping: dict, key: str):
-    """``mapping[key]``, or an empty mapping where the key is missing or
-    null: any other value is checked as given."""
-    value = mapping.get(key)
-    return {} if value is None else value
-
-
-def _number(raw, path: str) -> float:
-    """A finite bare number; YAML's true and false are not numbers."""
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        with contextlib.suppress(OverflowError):    # an integer past the float range
-            if math.isfinite(float(raw)):
-                return float(raw)
-    raise ConfigError(f"expected a finite number, got {raw!r}", path)
-
-
-def _fields(raw, keys: dict, path: str, required: bool) -> dict:
-    """The SI value of each key of ``keys`` that ``raw`` gives, by field
-    name; where not ``required``, a key left out takes its field's default."""
+def _fields(raw, keys: dict, path: str) -> dict:
+    """The SI value of each key of ``keys``, every one required, by field
+    name."""
     _mapping(raw, keys, path)
-    given = {}
-    for key, dimension in keys.items():
-        if key in raw or required:
-            value = _require(raw, key, path)
-            given[key] = (_number(value, f"{path}.{key}") if dimension is None
-                          else parse_quantity(value, dimension, f"{path}.{key}"))
-    return given
+    return {key: parse_quantity(_require(raw, key, path), dimension, f"{path}.{key}")
+            for key, dimension in keys.items()}
 
 
 def _load_route(name: str, raw: dict, path: str) -> RouteSpec:
@@ -357,7 +311,7 @@ def _load_route(name: str, raw: dict, path: str) -> RouteSpec:
     segs = []
     for i, rs in enumerate(raw_segs):
         spath = f"{path}.segments[{i}]"
-        seg = RouteSegment(**_fields(rs, _SEGMENT_KEYS, spath, required=True))
+        seg = RouteSegment(**_fields(rs, _SEGMENT_KEYS, spath))
         if seg.length <= 0:
             raise ConfigError("segment length must be strictly positive", f"{spath}.length")
         if seg.limit <= 0:
@@ -434,8 +388,8 @@ def load_config(text: str) -> CorridorConfig:
         raise ConfigError(f"invalid YAML: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a mapping")
-    _mapping(doc, ("seed", "dt", "horizon", "headway", "main_route", "bounds",
-                   "baseline", "spawn", "routes", "zones"), "")
+    _mapping(doc, ("seed", "dt", "horizon", "headway", "main_route", "bounds", "routes",
+                   "zones"), "")
 
     given = {}    # the optional keys the document sets
     if "seed" in doc:
@@ -455,7 +409,7 @@ def load_config(text: str) -> CorridorConfig:
         if given["headway"] <= 0:
             raise ConfigError("headway must be strictly positive", "headway")
 
-    bounds = Bounds(**_fields(_require(doc, "bounds", ""), _BOUNDS_KEYS, "bounds", required=True))
+    bounds = Bounds(**_fields(_require(doc, "bounds", ""), _BOUNDS_KEYS, "bounds"))
     bounds.validate()
 
     raw_routes = _require(doc, "routes", "")
@@ -496,16 +450,9 @@ def load_config(text: str) -> CorridorConfig:
             if s1 < e0 - 1e-9:
                 raise ConfigError(f"zones {i0} and {i1} overlap on route {name!r}", "zones")
 
-    baseline = BaselineParams(**_fields(_optional(doc, "baseline"), _BASELINE_KEYS, "baseline",
-                                        required=False))
-    if baseline.max_accel <= 0 or baseline.comfort_decel <= 0:
-        raise ConfigError("baseline accelerations must be strictly positive", "baseline")
-    spawn = SpawnParams(**_fields(_optional(doc, "spawn"), _SPAWN_KEYS, "spawn", required=False))
-
     return CorridorConfig(
         dt=dt, horizon=horizon, main_route=main_route, bounds=bounds,
-        routes=tuple(routes.values()), zones=tuple(zones), baseline=baseline, spawn=spawn,
-        **given,
+        routes=tuple(routes.values()), zones=tuple(zones), **given,
     )
 
 
@@ -514,9 +461,9 @@ def load_config_file(path) -> CorridorConfig:
         return load_config(fh.read())
 
 
-def _fmt(value: float, dimension: Optional[str]) -> float | str:
-    """``value`` with the SI unit of ``dimension``; bare where it has none."""
-    return value if dimension is None else f"{value!r} {next(iter(_UNITS[dimension]))}"
+def _fmt(value: float, dimension: str) -> str:
+    """``value`` with the SI unit of ``dimension``."""
+    return f"{value!r} {next(iter(_UNITS[dimension]))}"
 
 
 def _emit(obj, keys: dict) -> dict:
@@ -536,8 +483,6 @@ def serialize_config(cfg: CorridorConfig) -> str:
         "headway": _fmt(cfg.headway, "time"),
         "main_route": cfg.main_route,
         "bounds": _emit(cfg.bounds, _BOUNDS_KEYS),
-        "baseline": _emit(cfg.baseline, _BASELINE_KEYS),
-        "spawn": _emit(cfg.spawn, _SPAWN_KEYS),
         "routes": {
             r.name: {
                 "flow": _fmt(r.flow_vps, "flow"),

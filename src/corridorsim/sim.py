@@ -28,7 +28,6 @@ from typing import NamedTuple, Optional
 
 from corridorsim.core import (
     Approach,
-    BaselineParams,
     Bounds,
     ConflictZoneSpec,
     CorridorConfig,
@@ -70,6 +69,20 @@ _SNAP_ULPS = 256           # the most floats _least_float walks from its guess
 YIELD_CROSS_MARGIN = 1.0   # s added to the kinematic crossing time at a yield line
 LINE_SETBACK = 0.2         # m short of the merging-zone line a yielder stops
 GOVERNOR_MARGIN = 0.01     # m kept above the headway envelope by the governor
+
+# baseline car following (IDM) and yielding at the merging-zone line
+MAX_ACCEL = 1.5            # m/s2, the follower's free-road acceleration
+COMFORT_DECEL = 3.0        # m/s2, its comfortable braking, also for limit drops
+MIN_GAP = 2.0              # m, the standstill gap; it also places a yield line's stop
+FOLLOW_HEADWAY = 1.2       # s of time gap the follower keeps, and needs to join a lane
+YIELD_GAP = 4.0            # s, the least window in which a crossing peer blocks the line
+SPEED_EXPONENT = 4.0       # exponent of the free-road term (v / v_des) ** 4.0
+_IDM_BRAKE_SCALE = 2.0 * math.sqrt(MAX_ACCEL * COMFORT_DECEL)   # m/s2
+
+# spawning: a new vehicle enters this far behind the back of its queue, and
+# is withheld where that allows it less than the speed floor
+SPAWN_MIN_LEAD = 2.0       # m
+SPAWN_MIN_SPEED = 0.5      # m/s
 
 
 # ---------------------------------------------------------------------------
@@ -116,35 +129,31 @@ class StepContext(NamedTuple):
 # zeros and NaN included; each clamp below keeps its max/min's argument order
 
 
-def _idm_brake(v: float, params: BaselineParams, gap: float, dv: float) -> float:
+def _idm_brake(v: float, gap: float, dv: float) -> float:
     """Interaction term the IDM subtracts from the free-road acceleration."""
-    a = params.max_accel
-    min_gap = params.min_gap
-    s_star = min_gap + v * params.headway \
-        + v * dv / (2.0 * math.sqrt(a * params.comfort_decel))
-    if min_gap > s_star:    # max(s_star, min_gap)
-        s_star = min_gap
-    return a * (s_star / (0.1 if 0.1 > gap else gap)) ** 2   # max(gap, 0.1)
+    s_star = MIN_GAP + v * FOLLOW_HEADWAY + v * dv / _IDM_BRAKE_SCALE
+    if MIN_GAP > s_star:    # max(s_star, MIN_GAP)
+        s_star = MIN_GAP
+    return MAX_ACCEL * (s_star / (0.1 if 0.1 > gap else gap)) ** 2   # max(gap, 0.1)
 
 
 def baseline_step(vehicle: VehicleState, leader: Optional[VehicleState],
-                  params: BaselineParams, ctx: StepContext) -> float:
+                  ctx: StepContext) -> float:
     """Car-following acceleration for one step, clipped to the global bounds."""
     v = vehicle.v
     v_des = ctx.v_des
-    u = free = params.max_accel * (1.0 - (v / (0.1 if 0.1 > v_des else v_des))
-                                   ** params.speed_exponent)
+    u = free = MAX_ACCEL * (1.0 - (v / (0.1 if 0.1 > v_des else v_des)) ** SPEED_EXPONENT)
     if leader is not None:
-        w = free - _idm_brake(v, params, leader.s - vehicle.s, v - leader.v)
+        w = free - _idm_brake(v, leader.s - vehicle.s, v - leader.v)
         if w < u:
             u = w
     if ctx.projected is not None:
         gap, v_lead = ctx.projected
-        w = free - _idm_brake(v, params, gap, v - v_lead)
+        w = free - _idm_brake(v, gap, v - v_lead)
         if w < u:
             u = w
     if ctx.limit_cuts:
-        b = params.comfort_decel
+        b = COMFORT_DECEL
         dt = ctx.dt
         for dist, lim in ctx.limit_cuts:
             if v > lim + 1e-9 and dist <= (v * v - lim * lim) / (2.0 * b) + v * dt:
@@ -155,7 +164,7 @@ def baseline_step(vehicle: VehicleState, leader: Optional[VehicleState],
                     u = w
     if ctx.line_gap is not None:
         gap = ctx.line_gap
-        w = free - _idm_brake(v, params, 0.01 if 0.01 > gap else gap, v)
+        w = free - _idm_brake(v, 0.01 if 0.01 > gap else gap, v)
         if w < u:
             u = w
     bounds = ctx.bounds
@@ -323,7 +332,7 @@ class _Slot:
                          config.bounds.v_max)
         # virtual stopped leader just past the line; the follower's
         # equilibrium gap then puts its nose a step short of the line
-        self.stop_at = ap.mz_start + config.baseline.min_gap - LINE_SETBACK
+        self.stop_at = ap.mz_start + MIN_GAP - LINE_SETBACK
         self.peers: tuple[_Slot, ...] = ()      # other routes into the zone
 
 
@@ -411,13 +420,12 @@ class Simulation:
                     # the headway envelope and could still stop behind the
                     # back of the queue at full braking
                     back = order[-1]
-                    headroom = back.s - self.cfg.spawn.min_lead \
-                        + back.v * back.v / (2.0 * b)
+                    headroom = back.s - SPAWN_MIN_LEAD + back.v * back.v / (2.0 * b)
                     v_safe = 0.0
                     if headroom > 0.0:
                         v_quad = b * (-h + math.sqrt(h * h + 2.0 * headroom / b))
-                        v_safe = min(v_quad, (back.s - self.cfg.spawn.min_lead) / h)
-                    if v_safe < 0.5:
+                        v_safe = min(v_quad, (back.s - SPAWN_MIN_LEAD) / h)
+                    if v_safe < SPAWN_MIN_SPEED:
                         self.events["spawn_withheld"] += 1
                         break
                     v0 = min(v0, v_safe)
@@ -538,25 +546,23 @@ class Simulation:
         return StepContext(cell[3], self.dt, self.bounds, cuts, projected, line_gap)
 
     def _same_lane_blocked(self, v: float, x: float, others) -> bool:
-        p = self.cfg.baseline
         tau_me = -x / max(v, 0.3)
         for ox, ov, _ in others:
             if ox >= 0.0:
                 # someone just past the join, too close to slot in behind
-                if ox < p.headway * v + p.min_gap:
+                if ox < FOLLOW_HEADWAY * v + MIN_GAP:
                     return True
             else:
                 tau_o = -ox / max(ov, 0.3)
-                if abs(tau_o - tau_me) < p.headway:
+                if abs(tau_o - tau_me) < FOLLOW_HEADWAY:
                     return True
         return False
 
     def _conflict_blocked(self, v: float, x: float, slot: _Slot) -> bool:
-        p = self.cfg.baseline
         if any(0.0 <= ox for ox, _, _ in slot.others):
             return True
-        crossing = _time_to_cover(-x + slot.zone.mz_length, v, p.max_accel, slot.v_cap)
-        window = max(p.yield_gap, crossing + YIELD_CROSS_MARGIN)
+        crossing = _time_to_cover(-x + slot.zone.mz_length, v, MAX_ACCEL, slot.v_cap)
+        window = max(YIELD_GAP, crossing + YIELD_CROSS_MARGIN)
         for ox, ov, _ in slot.others:
             if ox < 0.0 and -ox / max(ov, 0.3) < window:
                 return True
@@ -619,7 +625,6 @@ class Simulation:
         dt = self.dt
         bounds = self.bounds
         u_min, u_max = bounds.u_min, bounds.u_max
-        params = self.cfg.baseline
         passages = self.passages
         events = self.events
         for rt, cells in zip(self.routes, located):
@@ -637,7 +642,7 @@ class Simulation:
                         ahead = -1
                 passage = passages.get(vid) if optimal else None
                 if passage is None:
-                    u = baseline_step(st, leader, params,
+                    u = baseline_step(st, leader,
                                       self._context(rt, cell, slot, s, v, x, ahead, not optimal))
                 elif passage.phase == "mz":
                     v_hold = passage.plan.v_hold

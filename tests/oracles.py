@@ -41,6 +41,8 @@ import numpy as np
 from corridorsim.coordinator import OccupancyInterval, occupancy_check
 from corridorsim.core import CorridorConfig
 from corridorsim.metrics import STOP_SPEED, TRACE_HEADER, Metrics
+from corridorsim.sim import (COMFORT_DECEL, FOLLOW_HEADWAY, MAX_ACCEL, MIN_GAP,
+                             SPEED_EXPONENT)
 from corridorsim.trajectory import (BoundaryConditions, DegenerateHorizonError,
                                     EvaluationWindowError, InfeasibleHorizonError,
                                     solve_bounded)
@@ -446,28 +448,28 @@ def optimal_step(vehicle, coeffs, t: float, dt: float, bounds,
     return u_clipped, abs(u - u_clipped) > 1e-9, p_plan
 
 
-def _idm_brake(v: float, params, gap: float, dv: float) -> float:
-    a = params.max_accel
-    s_star = params.min_gap + v * params.headway \
-        + v * dv / (2.0 * math.sqrt(a * params.comfort_decel))
-    s_star = max(s_star, params.min_gap)
+def _idm_brake(v: float, gap: float, dv: float) -> float:
+    a = MAX_ACCEL
+    s_star = MIN_GAP + v * FOLLOW_HEADWAY \
+        + v * dv / (2.0 * math.sqrt(a * COMFORT_DECEL))
+    s_star = max(s_star, MIN_GAP)
     return a * (s_star / max(gap, 0.1)) ** 2
 
 
-def baseline_step(vehicle, leader, params, ctx) -> float:
+def baseline_step(vehicle, leader, ctx) -> float:
     v = vehicle.v
-    u = free = params.max_accel * (1.0 - (v / max(ctx.v_des, 0.1)) ** params.speed_exponent)
+    u = free = MAX_ACCEL * (1.0 - (v / max(ctx.v_des, 0.1)) ** SPEED_EXPONENT)
     if leader is not None:
-        u = min(u, free - _idm_brake(v, params, leader.s - vehicle.s, v - leader.v))
+        u = min(u, free - _idm_brake(v, leader.s - vehicle.s, v - leader.v))
     if ctx.projected is not None:
         gap, v_lead = ctx.projected
-        u = min(u, free - _idm_brake(v, params, gap, v - v_lead))
-    b = params.comfort_decel
+        u = min(u, free - _idm_brake(v, gap, v - v_lead))
+    b = COMFORT_DECEL
     for dist, lim in ctx.limit_cuts:
         if v > lim + 1e-9 and dist <= (v * v - lim * lim) / (2.0 * b) + v * ctx.dt:
             u = min(u, max(-b, (lim - v) / ctx.dt))
     if ctx.line_gap is not None:
-        u = min(u, free - _idm_brake(v, params, max(ctx.line_gap, 0.01), v))
+        u = min(u, free - _idm_brake(v, max(ctx.line_gap, 0.01), v))
     return min(max(u, ctx.bounds.u_min), ctx.bounds.u_max)
 
 

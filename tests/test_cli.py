@@ -1,12 +1,13 @@
 import os
 import re
+import socket
 import subprocess
 import sys
 
 import pytest
 
 from corridorsim import sim
-from corridorsim.cli import _address, _parse_seeds, main
+from corridorsim.cli import _address, _parse_seeds, build_parser, main
 
 BENCH = "configs/bench.yaml"
 
@@ -92,24 +93,29 @@ def test_verify_rejects_missing_and_malformed(tmp_path, capsys):
     capsys.readouterr()
 
 
+_MAIN = "main_route: main\n"
+_UNKNOWN_BASELINE = "baseline: unknown key, expected one of ["
+
 # config -> (text of the bench config, its replacement, start of the error)
 _BAD_EDITS = {
     "misspelt": ("headway: 1.2 s\n", "headwy: 9 s\n", "headwy: unknown key, expected one of ["),
     "huge-horizon": ("horizon: 60 s", "horizon: 1e400 s",
                      "horizon: quantity '1e400 s' is not finite"),
     "tiny-dt": ("dt: 0.1 s", "dt: 1e-320 s", "dt: too small: horizon / dt is not finite"),
-    "word-exponent": ("speed_exponent: 4.0", "speed_exponent: fast",
-                      "baseline.speed_exponent: expected a finite number, got 'fast'"),
-    "bool-exponent": ("speed_exponent: 4.0", "speed_exponent: true",
-                      "baseline.speed_exponent: expected a finite number, got True"),
-    "inf-exponent": ("speed_exponent: 4.0", "speed_exponent: .inf",
-                     "baseline.speed_exponent: expected a finite number, got inf"),
     "word-priority": ("priority: false}", "priority: nope}",
                       "zones[0].approaches[0].priority: expected true or false, got 'nope'"),
-    "false-baseline": ("baseline:\n  max_accel: 1.5 m/s2\n  comfort_decel: 3.0 m/s2\n"
-                       "  min_gap: 2.0 m\n  headway: 1.2 s\n  yield_gap: 4.0 s\n"
-                       "  speed_exponent: 4.0\n", "baseline: false\n",
-                       "baseline: must be a mapping"),
+    # the car-following and spawn constants live in sim: a document that
+    # still carries a baseline or spawn block, whatever it holds, names an
+    # unknown key
+    "word-exponent": (_MAIN, _MAIN + "baseline:\n  speed_exponent: fast\n", _UNKNOWN_BASELINE),
+    "bool-exponent": (_MAIN, _MAIN + "baseline:\n  speed_exponent: true\n", _UNKNOWN_BASELINE),
+    "inf-exponent": (_MAIN, _MAIN + "baseline:\n  speed_exponent: .inf\n", _UNKNOWN_BASELINE),
+    "false-baseline": (_MAIN, _MAIN + "baseline: false\n", _UNKNOWN_BASELINE),
+    "shipped-baseline": (_MAIN, _MAIN + "baseline:\n  max_accel: 1.5 m/s2\n"
+                         "  comfort_decel: 3.0 m/s2\n  min_gap: 2.0 m\n  headway: 1.2 s\n"
+                         "  yield_gap: 4.0 s\n  speed_exponent: 4.0\n", _UNKNOWN_BASELINE),
+    "shipped-spawn": (_MAIN, _MAIN + "spawn:\n  min_lead: 2.0 m\n",
+                      "spawn: unknown key, expected one of ["),
 }
 
 
@@ -201,6 +207,55 @@ def test_bench_total_loss_is_a_lost_feed(short_trace):
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert "commands (socket):   0" in proc.stdout
     assert "LOST FEED" in proc.stdout and "DIVERGED" not in proc.stdout
+
+
+# verb -> its required arguments; none of them is read before parsing ends
+_VERB_ARGS = {"bench": ["--config", BENCH, "--trace", "trace.csv"], "broker": [],
+              "replay": ["--config", BENCH, "--trace", "trace.csv"],
+              "headunit": ["--config", BENCH]}
+
+
+@pytest.mark.parametrize("verb, flag, value", [
+    ("bench", "--drop-prob", "-1"), ("bench", "--drop-prob", "nan"),
+    ("bench", "--drop-prob", "2"), ("broker", "--drop-prob", "2"),
+    ("bench", "--idle-timeout", "0"), ("bench", "--idle-timeout", "-1"),
+    ("bench", "--idle-timeout", "nan"), ("bench", "--idle-timeout", "inf"),
+    ("bench", "--idle-timeout", "1e10"), ("headunit", "--idle-timeout", "0"),
+    ("bench", "--rate", "-5"), ("bench", "--rate", "inf"), ("replay", "--rate", "-5"),
+    ("broker", "--port", "99999"), ("replay", "--address", "127.0.0.1:x"),
+    ("headunit", "--address", "127.0.0.1:-1"),
+])
+def test_an_out_of_range_flag_exits_2_at_parse_time(capsys, verb, flag, value):
+    # let through, a share past [0, 1] drops everything or nothing, a zero
+    # or negative idle timeout loses the feed, an infinite one raises in
+    # bench's consumer thread, and a negative rate floods
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *_VERB_ARGS[verb], flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {flag}: ")
+    assert err.endswith(f"got {value.rpartition(':')[2]!r}\n")   # an address's port
+    assert err.count("\n") == 1
+
+
+def test_the_flag_ranges_hold_their_ends():
+    args = build_parser().parse_args(["bench", *_VERB_ARGS["bench"], "--drop-prob", "1",
+                                      "--idle-timeout", "1e9", "--rate", "0"])
+    assert (args.drop_prob, args.idle_timeout, args.rate) == (1.0, 1e9, 0.0)
+    args = build_parser().parse_args(["broker", "--drop-prob", "0", "--port", "65535"])
+    assert (args.drop_prob, args.port) == (0.0, 65535)
+
+
+def test_headunit_with_an_unreachable_broker_exits_2(tmp_path, capsys):
+    with socket.socket() as probe:     # a port nothing listens on once closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    out = tmp_path / "commands.csv"
+    assert main(["headunit", "--config", BENCH, "--address", f"127.0.0.1:{port}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bench_reports_bad_input_but_not_planner_errors(tmp_path, capsys,

@@ -8,12 +8,10 @@ import random
 import pytest
 
 from corridorsim.core import (
-    BaselineParams,
     Bounds,
     ConfigError,
     RouteSegment,
     RouteSpec,
-    SpawnParams,
     crossed,
     crossing_time,
     load_config,
@@ -98,14 +96,14 @@ def test_zone_geometry_identity_enforced():
 @pytest.mark.parametrize("old, new, path", [
     ("headway: 1.2 s\nmain_route", "headwy: 9 s\nmain_route", "headwy"),
     ("v_max: 40 mph", "v_mx: 40 mph", "bounds.v_mx"),
-    ("yield_gap: 4.0 s", "yeld_gap: 9 s", "baseline.yeld_gap"),
-    ("min_lead: 2.0 m", "min_led: 9 m", "spawn.min_led"),
+    # the car-following and spawn constants live in sim, not in the document
+    ("main_route: main\n", "main_route: main\nbaseline:\n  yield_gap: 4.0 s\n", "baseline"),
+    ("main_route: main\n", "main_route: main\nspawn:\n  min_lead: 2.0 m\n", "spawn"),
     ("flow: 800 vph", "flw: 800 vph", "routes.highway.flw"),
     ("{length: 365 m, limit: 25 mph}", "{length: 365 m, limt: 25 mph}",
      "routes.ring.segments[0].limt"),
     ("mz_length: 15 m", "mz_lenght: 15 m", "zones[0].mz_lenght"),
-    ("spawn:\n  min_lead: 2.0 m", "spawn:\n  min_lead: 2.0 m\n  probe_only: true",
-     "spawn.probe_only"),
+    ("main_route: main\n", "main_route: main\nprobe_only: true\n", "probe_only"),
     # run --mode sets the mode, and a zone's kind its terminal rule
     ("seed: 1\n", "mode: baseline\nseed: 1\n", "mode"),
     ("mz_speed: 40 mph\n", "mz_speed: 40 mph\n    terminal: free\n", "zones[0].terminal"),
@@ -123,33 +121,15 @@ def test_unknown_key_rejected(old, new, path):
     assert str(info.value).startswith(f"{path}: unknown key")
 
 
-def _with_block(key, value):
-    """Table-1 with the whole ``key`` mapping replaced by ``key: value``."""
-    lines = table1_text().split("\n")
-    start = lines.index(f"{key}:")
-    stop = lines.index("", start)
-    return "\n".join(lines[:start] + [f"{key}: {value}" if value else f"{key}:"] + lines[stop:])
-
-
 @pytest.mark.parametrize("key", ["baseline", "spawn"])
-@pytest.mark.parametrize("value", ["0", '""', "[]", "false"])
+@pytest.mark.parametrize("value", ["0", '""', "[]", "false", "null"])
 def test_optional_mapping_that_is_not_one_rejected(key, value):
-    # a value that is not a mapping is an error even where it is falsy; only
-    # a missing key or a null value means the defaults
-    with pytest.raises(ConfigError) as info:
-        load_config(_with_block(key, value))
-    assert str(info.value) == f"{key}: must be a mapping"
-
-
-@pytest.mark.parametrize("key", ["baseline", "spawn"])
-def test_optional_mapping_left_out_or_null_takes_the_defaults(key):
-    defaults = {"baseline": BaselineParams(), "spawn": SpawnParams()}[key]
-    null = load_config(_with_block(key, ""))
-    assert getattr(null, key) == defaults
-    assert load_config(_with_block(key, "null")) == null
-    gone = table1_text().split("\n")
-    start = gone.index(f"{key}:")
-    assert load_config("\n".join(gone[:start] + gone[gone.index("", start):])) == null
+    # the car-following and spawn constants live in sim, so a baseline or
+    # spawn key is unknown whatever it holds, a falsy value or null included
+    doc = table1_text() + f"{key}: {value}\n"
+    with pytest.raises(ConfigError, match="unknown key") as info:
+        load_config(doc)
+    assert info.value.path == key
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +235,6 @@ def test_every_field_the_format_carries_round_trips():
     cfg = dataclasses.replace(
         cfg, seed=7, headway=1.7,
         bounds=Bounds(u_min=-2.5, u_max=1.25, v_min=0.5, v_max=19.0),
-        baseline=BaselineParams(max_accel=1.1, comfort_decel=2.6, min_gap=2.7, headway=1.4,
-                                yield_gap=3.3, speed_exponent=3.5),
-        spawn=SpawnParams(min_lead=3.1),
         routes=tuple(dataclasses.replace(r, flow_vps=r.flow_vps + 0.01, segments=tuple(
             RouteSegment(length=s.length + 0.5, limit=s.limit + 0.25) for s in r.segments))
             for r in cfg.routes),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from corridorsim.coordinator import OccupancyInterval, occupancy_check
-from corridorsim.core import BaselineParams, Bounds, VehicleState, load_config, load_config_file
+from corridorsim.core import Bounds, VehicleState, load_config, load_config_file
 from corridorsim import metrics, sim
 from corridorsim.sim import (
     StepContext,
@@ -82,7 +82,6 @@ def test_vehicle_ids_increase_in_spawn_order():
 # baseline controller examples
 
 BOUNDS = Bounds(u_min=-3.0, u_max=1.5, v_min=0.0, v_max=17.8816)
-PARAMS = BaselineParams()
 
 
 def ctx(**kw):
@@ -93,14 +92,14 @@ def ctx(**kw):
 
 def test_free_road_at_desired_speed_gives_zero_accel():
     veh = VehicleState(vehicle_id=1, route="main", s=0.0, v=17.8816)
-    assert baseline_step(veh, None, PARAMS, ctx()) == pytest.approx(0.0, abs=1e-12)
+    assert baseline_step(veh, None, ctx()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stopped_leader_two_meters_ahead_forces_hard_braking():
     veh = VehicleState(vehicle_id=1, route="main", s=100.0, v=10.0)
     leader = VehicleState(vehicle_id=2, route="main", s=102.0, v=0.0)
-    u = baseline_step(veh, leader, PARAMS, ctx())
-    assert u <= -PARAMS.comfort_decel
+    u = baseline_step(veh, leader, ctx())
+    assert u <= -sim.COMFORT_DECEL
 
 
 def test_limit_drop_braking_engages_inside_stopping_distance():
@@ -108,15 +107,15 @@ def test_limit_drop_braking_engages_inside_stopping_distance():
     v_low = 8.314944
     # outside the envelope: no reaction yet
     far = ctx(limit_cuts=((60.0, v_low),))
-    assert baseline_step(veh, None, PARAMS, far) == pytest.approx(0.0, abs=1e-12)
+    assert baseline_step(veh, None, far) == pytest.approx(0.0, abs=1e-12)
     # just inside (v^2 - vL^2)/2b = 41.76 m: braking at comfort rate
     near = ctx(limit_cuts=((41.0, v_low),))
-    assert baseline_step(veh, None, PARAMS, near) == pytest.approx(-3.0)
+    assert baseline_step(veh, None, near) == pytest.approx(-3.0)
 
 
 def test_yield_blocked_vehicle_tracks_virtual_line_leader():
     veh = VehicleState(vehicle_id=1, route="main", s=340.0, v=8.0)
-    u = baseline_step(veh, None, PARAMS, ctx(line_gap=9.8))
+    u = baseline_step(veh, None, ctx(line_gap=9.8))
     assert u < -1.0   # strong deceleration approaching the stop point
 
 
