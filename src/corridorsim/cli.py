@@ -114,7 +114,9 @@ def _ranged(what: str, holds):
 _share = _ranged("a finite share in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 # a socket timeout past about 9.2e9 s overflows
 _idle_timeout = _ranged("> 0 and at most 1e9 s", lambda x: 0.0 < x <= 1e9)
-_rate = _ranged("finite and >= 0", lambda x: x >= 0.0)
+# a paced publisher waits about 1/rate per frame, which past 1e9 s overflows
+# like the timeout
+_rate = _ranged("0, or finite and >= 1e-9 frames/s", lambda x: x == 0.0 or x >= 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,12 @@ def cmd_headunit(args: argparse.Namespace) -> int:
     except OSError as exc:    # the broker cannot be reached
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sink = sys.stdout if args.out in (None, "-") else open(args.out, "w")
+    try:
+        sink = sys.stdout if args.out in (None, "-") else open(args.out, "w")
+    except OSError as exc:
+        stream.close()
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         sink.write("t,command\n")
         for t, v in stream:

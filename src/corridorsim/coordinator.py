@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from corridorsim.core import Bounds, ConflictZoneSpec
+from corridorsim.core import HEADWAY, Bounds, ConflictZoneSpec
 
 __all__ = [
     "RELATION_NONE",
@@ -77,7 +77,7 @@ class ConflictPair:
 
 def merging_time(t0: float, v0: float, dist: float,
                  prev: Optional[tuple[float, float]], same_lane: bool,
-                 mz_length: float, bounds: Bounds, headway: float) -> tuple[float, bool]:
+                 mz_length: float, bounds: Bounds) -> tuple[float, bool]:
     """Absolute merging time for a vehicle ``dist`` before the MZ line at
     (t0, v0), and whether the kinematic ceiling truncated its gap term.
 
@@ -98,7 +98,7 @@ def merging_time(t0: float, v0: float, dist: float,
     tm_prev, v_prev = prev
     if v_prev <= 0:
         raise ValueError("predecessor merging speed must be positive")
-    gap = headway * v0 / v_prev if same_lane else mz_length / v_prev
+    gap = HEADWAY * v0 / v_prev if same_lane else mz_length / v_prev
     candidate = (tm_prev - t0) + gap
     truncated = candidate > ceiling
     return t0 + max(min(candidate, ceiling), floor_v0, floor_vmax), truncated
@@ -138,10 +138,9 @@ class ZoneCoordinator:
     predecessor's booking moves.
     """
 
-    def __init__(self, zone: ConflictZoneSpec, bounds: Bounds, headway: float):
+    def __init__(self, zone: ConflictZoneSpec, bounds: Bounds):
         self.zone = zone
         self.bounds = bounds
-        self.headway = headway
         self.history: list[ScheduleEntry] = []
         self._by_id: dict[int, ScheduleEntry] = {}
         self._v0: dict[int, float] = {}
@@ -194,8 +193,7 @@ class ZoneCoordinator:
         return merging_time(
             t0, v0, self.zone.cz_length,
             None if prev is None else (prev.tm, prev.v_at_tm),
-            prev is not None and prev.lane == lane, self.zone.mz_length,
-            self.bounds, self.headway)
+            prev is not None and prev.lane == lane, self.zone.mz_length, self.bounds)
 
     def follower(self, vehicle_id: int) -> Optional[tuple[ScheduleEntry, float]]:
         """The entry queued right behind ``vehicle_id`` and the merging time

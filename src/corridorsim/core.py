@@ -26,6 +26,7 @@ __all__ = [
     "RouteSpec",
     "CorridorConfig",
     "VehicleState",
+    "HEADWAY",
     "crossed",
     "crossing_time",
     "load_config",
@@ -207,7 +208,6 @@ class CorridorConfig:
     routes: tuple[RouteSpec, ...]
     zones: tuple[ConflictZoneSpec, ...]
     seed: int = 0
-    headway: float = 1.2
     mode: str = "optimal"
     _by_name: dict = field(init=False, repr=False, compare=False)
 
@@ -241,6 +241,9 @@ class VehicleState:
     s: float
     v: float
     u: float = 0.0    # control executed over the current step
+
+
+HEADWAY = 1.2   # s, the safe time headway h the rear-end constraint is built on
 
 
 def crossed(s: float, line: float) -> bool:
@@ -388,8 +391,7 @@ def load_config(text: str) -> CorridorConfig:
         raise ConfigError(f"invalid YAML: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a mapping")
-    _mapping(doc, ("seed", "dt", "horizon", "headway", "main_route", "bounds", "routes",
-                   "zones"), "")
+    _mapping(doc, ("seed", "dt", "horizon", "main_route", "bounds", "routes", "zones"), "")
 
     given = {}    # the optional keys the document sets
     if "seed" in doc:
@@ -404,10 +406,6 @@ def load_config(text: str) -> CorridorConfig:
         raise ConfigError("horizon must be strictly positive", "horizon")
     if not math.isfinite(horizon / dt):
         raise ConfigError("too small: horizon / dt is not finite", "dt")
-    if "headway" in doc:
-        given["headway"] = parse_quantity(doc["headway"], "time", "headway")
-        if given["headway"] <= 0:
-            raise ConfigError("headway must be strictly positive", "headway")
 
     bounds = Bounds(**_fields(_require(doc, "bounds", ""), _BOUNDS_KEYS, "bounds"))
     bounds.validate()
@@ -480,7 +478,6 @@ def serialize_config(cfg: CorridorConfig) -> str:
         "seed": cfg.seed,
         "dt": _fmt(cfg.dt, "time"),
         "horizon": _fmt(cfg.horizon, "time"),
-        "headway": _fmt(cfg.headway, "time"),
         "main_route": cfg.main_route,
         "bounds": _emit(cfg.bounds, _BOUNDS_KEYS),
         "routes": {

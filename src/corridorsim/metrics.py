@@ -31,7 +31,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 from corridorsim.coordinator import OccupancyInterval, ScheduleEntry, occupancy_check
-from corridorsim.core import CorridorConfig, crossed, crossing_time
+from corridorsim.core import HEADWAY, CorridorConfig, crossed, crossing_time
 
 __all__ = [
     "TRACE_HEADER",
@@ -517,7 +517,7 @@ def rear_end_check(steps: Iterable[tuple[float, list[tuple]]],
     ``_REAR_END_TOL`` passes. Takes the trace a time step at a time
     (``read_steps``, or ``by_step`` of in-memory rows) and holds one step.
     Returns (t, follower, leader, gap, required) tuples."""
-    h = config.headway
+    h = HEADWAY
     tol = _REAR_END_TOL
     shared = [zone for zone in config.zones if zone.shared_lane]
     violations = []

@@ -31,6 +31,7 @@ from corridorsim.core import (
     Bounds,
     ConflictZoneSpec,
     CorridorConfig,
+    HEADWAY,
     RouteSpec,
     VehicleState,
     crossed,
@@ -74,7 +75,7 @@ GOVERNOR_MARGIN = 0.01     # m kept above the headway envelope by the governor
 MAX_ACCEL = 1.5            # m/s2, the follower's free-road acceleration
 COMFORT_DECEL = 3.0        # m/s2, its comfortable braking, also for limit drops
 MIN_GAP = 2.0              # m, the standstill gap; it also places a yield line's stop
-FOLLOW_HEADWAY = 1.2       # s of time gap the follower keeps, and needs to join a lane
+FOLLOW_HEADWAY = 1.2       # s of time gap the IDM follower keeps
 YIELD_GAP = 4.0            # s, the least window in which a crossing peer blocks the line
 SPEED_EXPONENT = 4.0       # exponent of the free-road term (v / v_des) ** 4.0
 _IDM_BRAKE_SCALE = 2.0 * math.sqrt(MAX_ACCEL * COMFORT_DECEL)   # m/s2
@@ -396,8 +397,7 @@ class Simulation:
         for sl in self.slots:
             sl.peers = tuple(o for ap in sl.zone.approaches if ap.route != sl.ap.route
                              for o in self.slots if o.zone is sl.zone and o.ap is ap)
-        self.coordinators = {z.index: ZoneCoordinator(z, config.bounds, config.headway)
-                             for z in config.zones}
+        self.coordinators = {z.index: ZoneCoordinator(z, config.bounds) for z in config.zones}
         self.passages: dict[int, _Passage] = {}
         self.rows = [] if rows is None else rows
         self.events: Counter = Counter()
@@ -409,7 +409,7 @@ class Simulation:
 
     def _spawn_due(self, t: float) -> None:
         b = -self.bounds.u_min
-        h = self.cfg.headway
+        h = HEADWAY
         for rt in self.routes:
             arrivals = rt.arrivals
             while arrivals and arrivals[0] <= t:
@@ -550,11 +550,11 @@ class Simulation:
         for ox, ov, _ in others:
             if ox >= 0.0:
                 # someone just past the join, too close to slot in behind
-                if ox < FOLLOW_HEADWAY * v + MIN_GAP:
+                if ox < HEADWAY * v + MIN_GAP:
                     return True
             else:
                 tau_o = -ox / max(ov, 0.3)
-                if abs(tau_o - tau_me) < FOLLOW_HEADWAY:
+                if abs(tau_o - tau_me) < HEADWAY:
                     return True
         return False
 
@@ -578,7 +578,7 @@ class Simulation:
         the hardest rate anyone can."""
         dt = self.dt
         b = -self.bounds.u_min
-        h_dt = self.cfg.headway + dt
+        h_dt = HEADWAY + dt
         h_dt_sq = h_dt ** 2
         two_b = 2.0 * b
 

@@ -61,7 +61,6 @@ class HeadUnitCore:
         self.route = config.route(config.main_route)
         self.zones = config.zones_on(self.route.name)
         self.bounds = config.bounds
-        self.headway = config.headway
 
         self.dist = 0.0
         self.v_cmd = self.route.limit_at(0.0)
@@ -184,7 +183,7 @@ class HeadUnitCore:
         tm, _ = merging_time(
             t, max(self.v_cmd, MIN_SCHED_SPEED), max(ap.mz_start - self.dist, 1e-6),
             None if leader is None else (leader.tm_s, max(leader.speed_mps, MIN_MERGE_SPEED)),
-            zone.shared_lane, zone.mz_length, self.bounds, self.headway)
+            zone.shared_lane, zone.mz_length, self.bounds)
         plan = plan_merge(self.dist, self.v_cmd, t, ap.mz_start, zone, tm, self.bounds)
         if not plan.clean:
             self.clamped_plans += 1
@@ -253,9 +252,12 @@ def run_over_socket(address: tuple[str, int], core: HeadUnitCore,
 
     def _stream():
         try:
+            yield   # started here, so a close before the first command closes the client
             yield from command_stream(
                 socket_frames(client, core, idle_timeout), core)
         finally:
             client.close()
 
-    return _stream()
+    stream = _stream()
+    next(stream)
+    return stream

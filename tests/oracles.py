@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from corridorsim.coordinator import OccupancyInterval, occupancy_check
-from corridorsim.core import CorridorConfig
+from corridorsim.core import HEADWAY, CorridorConfig
 from corridorsim.metrics import STOP_SPEED, TRACE_HEADER, Metrics
 from corridorsim.sim import (COMFORT_DECEL, FOLLOW_HEADWAY, MAX_ACCEL, MIN_GAP,
                              SPEED_EXPONENT)
@@ -336,7 +336,7 @@ def rear_end_check(rows: list[tuple], config: CorridorConfig,
     cross-route pairs inside the merging zone of a shared-lane zone. The
     required gap is headway * follower speed. Returns
     (t, follower, leader, gap, required) tuples."""
-    h = config.headway
+    h = HEADWAY
     shared = [zone for zone in config.zones if zone.shared_lane]
     by_time: dict[float, list[tuple]] = defaultdict(list)
     for row in rows:

@@ -158,8 +158,7 @@ def test_criterion_3_schedules_and_traces_are_conflict_free():
     registrations = 0
     for stream_seed in range(1000):
         stream_cfg = dataclasses.replace(cfg, seed=stream_seed)
-        coords = {z.index: ZoneCoordinator(z, cfg.bounds, cfg.headway)
-                  for z in cfg.zones}
+        coords = {z.index: ZoneCoordinator(z, cfg.bounds) for z in cfg.zones}
         arrivals = []
         vid = 0
         for i, route in enumerate(cfg.routes):

@@ -98,7 +98,7 @@ _UNKNOWN_BASELINE = "baseline: unknown key, expected one of ["
 
 # config -> (text of the bench config, its replacement, start of the error)
 _BAD_EDITS = {
-    "misspelt": ("headway: 1.2 s\n", "headwy: 9 s\n", "headwy: unknown key, expected one of ["),
+    "misspelt": ("horizon: 60 s\n", "horizn: 60 s\n", "horizn: unknown key, expected one of ["),
     "huge-horizon": ("horizon: 60 s", "horizon: 1e400 s",
                      "horizon: quantity '1e400 s' is not finite"),
     "tiny-dt": ("dt: 0.1 s", "dt: 1e-320 s", "dt: too small: horizon / dt is not finite"),
@@ -116,6 +116,10 @@ _BAD_EDITS = {
                          "  yield_gap: 4.0 s\n  speed_exponent: 4.0\n", _UNKNOWN_BASELINE),
     "shipped-spawn": (_MAIN, _MAIN + "spawn:\n  min_lead: 2.0 m\n",
                       "spawn: unknown key, expected one of ["),
+    # the safe time headway is core.HEADWAY: the key the shipped configs
+    # carried names an unknown key
+    "shipped-headway": (_MAIN, _MAIN + "headway: 1.2 s\n",
+                        "headway: unknown key, expected one of ["),
 }
 
 
@@ -222,13 +226,16 @@ _VERB_ARGS = {"bench": ["--config", BENCH, "--trace", "trace.csv"], "broker": []
     ("bench", "--idle-timeout", "nan"), ("bench", "--idle-timeout", "inf"),
     ("bench", "--idle-timeout", "1e10"), ("headunit", "--idle-timeout", "0"),
     ("bench", "--rate", "-5"), ("bench", "--rate", "inf"), ("replay", "--rate", "-5"),
+    ("bench", "--rate", "5e-10"), ("bench", "--rate", "1e-300"),
+    ("replay", "--rate", "5e-10"), ("replay", "--rate", "1e-300"),
     ("broker", "--port", "99999"), ("replay", "--address", "127.0.0.1:x"),
     ("headunit", "--address", "127.0.0.1:-1"),
 ])
 def test_an_out_of_range_flag_exits_2_at_parse_time(capsys, verb, flag, value):
     # let through, a share past [0, 1] drops everything or nothing, a zero
     # or negative idle timeout loses the feed, an infinite one raises in
-    # bench's consumer thread, and a negative rate floods
+    # bench's consumer thread, a negative rate floods, and a rate below 1e-9
+    # overflows the publisher's wait for its second frame
     with pytest.raises(SystemExit) as exc:
         main([verb, *_VERB_ARGS[verb], flag, value])
     assert exc.value.code == 2
@@ -242,6 +249,9 @@ def test_the_flag_ranges_hold_their_ends():
     args = build_parser().parse_args(["bench", *_VERB_ARGS["bench"], "--drop-prob", "1",
                                       "--idle-timeout", "1e9", "--rate", "0"])
     assert (args.drop_prob, args.idle_timeout, args.rate) == (1.0, 1e9, 0.0)
+    for verb in ("bench", "replay"):
+        args = build_parser().parse_args([verb, *_VERB_ARGS[verb], "--rate", "1e-9"])
+        assert args.rate == 1e-9
     args = build_parser().parse_args(["broker", "--drop-prob", "0", "--port", "65535"])
     assert (args.drop_prob, args.port) == (0.0, 65535)
 
@@ -256,6 +266,24 @@ def test_headunit_with_an_unreachable_broker_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_headunit_with_an_unwritable_out_exits_2(tmp_path):
+    # a subprocess in dev mode, so a client left open for the collector
+    # would print its ResourceWarning as an error on stderr
+    from corridorsim.v2x.broker import Broker
+
+    out = tmp_path / "missing" / "commands.csv"
+    with Broker(port=0) as broker:
+        host, port = broker.address
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
+             "corridorsim.cli", "headunit", "--config", BENCH,
+             "--address", f"{host}:{port}", "--out", str(out)],
+            capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert str(out) in proc.stderr
 
 
 def test_bench_reports_bad_input_but_not_planner_errors(tmp_path, capsys,

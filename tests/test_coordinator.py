@@ -27,10 +27,9 @@ def make_zone(cz=100.0, mz=30.0, mz_speed=10.0, kind="merge"):
     )
 
 
-def merge_at(zone, bounds, t0, v0, prev=None, same_lane=False, headway=1.2):
+def merge_at(zone, bounds, t0, v0, prev=None, same_lane=False):
     """merging_time for a vehicle at the zone's control-zone entry."""
-    return merging_time(t0, v0, zone.cz_length, prev, same_lane, zone.mz_length,
-                        bounds, headway)
+    return merging_time(t0, v0, zone.cz_length, prev, same_lane, zone.mz_length, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +50,7 @@ def test_same_lane_gap_term():
     zone = make_zone()
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=5.0, v_max=13.4)
     tm, truncated = merge_at(zone, bounds, t0=0.0, v0=10.0, prev=(10.0, 10.0),
-                             same_lane=True, headway=1.2)
+                             same_lane=True)
     assert tm == pytest.approx(11.2, abs=1e-12)
     assert not truncated
 
@@ -60,7 +59,7 @@ def test_conflict_lane_gap_term():
     zone = make_zone(mz=30.0)
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=5.0, v_max=13.4)
     tm, _ = merge_at(zone, bounds, t0=0.0, v0=10.0, prev=(10.0, 10.0),
-                     same_lane=False, headway=1.2)
+                     same_lane=False)
     assert tm == pytest.approx(13.0, abs=1e-12)
 
 
@@ -96,7 +95,7 @@ def test_zero_entry_speed_rejected():
 @pytest.fixture
 def coordinator():
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=0.0, v_max=17.88)
-    return ZoneCoordinator(make_zone(), bounds, headway=1.2)
+    return ZoneCoordinator(make_zone(), bounds)
 
 
 def test_register_empty_queue(coordinator):
@@ -184,7 +183,7 @@ def test_adjust_merging_time_only_relaxes(coordinator):
 def test_truncation_counted(caplog):
     zone = make_zone()
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=5.0, v_max=13.4)
-    coord = ZoneCoordinator(zone, bounds, headway=1.2)
+    coord = ZoneCoordinator(zone, bounds)
     coord.register_arrival(1, t0=0.0, v0=13.4, lane="lane_b")
     coord.set_terminal_speed(1, 1.6)   # 30 m at 1.6 m/s: 18.75 s gap term
     with caplog.at_level("WARNING"):
@@ -230,7 +229,7 @@ def test_schedule_chain_keeps_conflict_lanes_disjoint():
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=0.0, v_max=17.8816)
     for stream in range(200):
         zone = make_zone(cz=100.0, mz=15.0, mz_speed=11.176, kind="roundabout")
-        coord = ZoneCoordinator(zone, bounds, headway=1.2)
+        coord = ZoneCoordinator(zone, bounds)
         t = 0.0
         for vid in range(30):
             t += float(rng.exponential(2.0))
@@ -245,7 +244,7 @@ def test_schedule_is_fifo_monotone_and_clamped():
     bounds = Bounds(u_min=-3.0, u_max=1.5, v_min=0.0, v_max=17.8816)
     for stream in range(100):
         zone = make_zone(cz=100.0, mz=15.0, mz_speed=17.8816)
-        coord = ZoneCoordinator(zone, bounds, headway=1.2)
+        coord = ZoneCoordinator(zone, bounds)
         t = 0.0
         entries = []
         for vid in range(40):
@@ -265,7 +264,7 @@ def test_identical_streams_identical_schedules():
                 for i in range(25)]
 
     def run():
-        coord = ZoneCoordinator(make_zone(), bounds, headway=1.2)
+        coord = ZoneCoordinator(make_zone(), bounds)
         return [coord.register_arrival(vid, t0=t, v0=v, lane=lane).tm
                 for vid, t, v, lane in arrivals]
 

@@ -94,7 +94,7 @@ def test_zone_geometry_identity_enforced():
 
 
 @pytest.mark.parametrize("old, new, path", [
-    ("headway: 1.2 s\nmain_route", "headwy: 9 s\nmain_route", "headwy"),
+    ("horizon: 600 s\n", "horizn: 600 s\n", "horizn"),
     ("v_max: 40 mph", "v_mx: 40 mph", "bounds.v_mx"),
     # the car-following and spawn constants live in sim, not in the document
     ("main_route: main\n", "main_route: main\nbaseline:\n  yield_gap: 4.0 s\n", "baseline"),
@@ -104,11 +104,13 @@ def test_zone_geometry_identity_enforced():
      "routes.ring.segments[0].limt"),
     ("mz_length: 15 m", "mz_lenght: 15 m", "zones[0].mz_lenght"),
     ("main_route: main\n", "main_route: main\nprobe_only: true\n", "probe_only"),
+    # the safe time headway is core.HEADWAY, not a key
+    ("main_route: main\n", "main_route: main\nheadway: 1.2 s\n", "headway"),
     # run --mode sets the mode, and a zone's kind its terminal rule
     ("seed: 1\n", "mode: baseline\nseed: 1\n", "mode"),
     ("mz_speed: 40 mph\n", "mz_speed: 40 mph\n    terminal: free\n", "zones[0].terminal"),
 ], ids=["top", "bounds", "baseline", "spawn", "route", "segment", "zone", "probe_only",
-        "mode", "terminal"])
+        "headway", "mode", "terminal"])
 def test_unknown_key_rejected(old, new, path):
     # an optional key read with its default would otherwise load a misspelt
     # key as the default value; test_zone_geometry_identity_enforced holds
@@ -233,7 +235,7 @@ def test_every_field_the_format_carries_round_trips():
     # that dropped or misnamed any key would load that field differently
     cfg = load_config(table1_text())
     cfg = dataclasses.replace(
-        cfg, seed=7, headway=1.7,
+        cfg, seed=7,
         bounds=Bounds(u_min=-2.5, u_max=1.25, v_min=0.5, v_max=19.0),
         routes=tuple(dataclasses.replace(r, flow_vps=r.flow_vps + 0.01, segments=tuple(
             RouteSegment(length=s.length + 0.5, limit=s.limit + 0.25) for s in r.segments))

@@ -651,7 +651,6 @@ ZERO_FLOW = """
 seed: 1
 dt: 0.1 s
 horizon: 10 s
-headway: 1.2 s
 main_route: main
 bounds: {u_min: -3 m/s2, u_max: 1.5 m/s2, v_min: 0 m/s, v_max: 17.8816 m/s}
 routes:
@@ -668,7 +667,6 @@ YIELD_TRAP = """
 seed: 12
 dt: 0.1 s
 horizon: 60 s
-headway: 1.2 s
 main_route: minor
 bounds: {u_min: -3 m/s2, u_max: 1.5 m/s2, v_min: 0 m/s, v_max: 17.8816 m/s}
 routes:
@@ -695,7 +693,6 @@ TWO_LANE_MERGE = """
 seed: 1
 dt: 0.1 s
 horizon: 40 s
-headway: 1.2 s
 main_route: main
 bounds: {u_min: -3 m/s2, u_max: 1.5 m/s2, v_min: 0 m/s, v_max: 17.8816 m/s}
 routes:
