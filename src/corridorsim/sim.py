@@ -51,7 +51,6 @@ from corridorsim.trajectory import (
 
 __all__ = [
     "arrival_times",
-    "StepContext",
     "baseline_step",
     "MergePlan",
     "plan_merge",
@@ -111,21 +110,6 @@ def arrival_times(config: CorridorConfig, route_index: int) -> list[float]:
 # baseline controller
 
 
-class StepContext(NamedTuple):
-    """Per-vehicle snapshot data the baseline follower needs beyond its own
-    route leader: desired speed, upcoming limit drops, the projected
-    cross-route leader inside a shared-lane merging zone, and, for a
-    vehicle that must yield at the merging-zone line, its distance to the
-    stop point."""
-
-    v_des: float
-    dt: float
-    bounds: Bounds
-    limit_cuts: tuple[tuple[float, float], ...] = ()   # (distance, lower limit)
-    projected: Optional[tuple[float, float]] = None     # (gap, leader speed)
-    line_gap: Optional[float] = None                    # distance to the stop point, if yielding
-
-
 # b if b > a else a is max(a, b) and b if b < a else a is min(a, b), signed
 # zeros and NaN included; each clamp below keeps its max/min's argument order
 
@@ -138,37 +122,43 @@ def _idm_brake(v: float, gap: float, dv: float) -> float:
     return MAX_ACCEL * (s_star / (0.1 if 0.1 > gap else gap)) ** 2   # max(gap, 0.1)
 
 
-def baseline_step(vehicle: VehicleState, leader: Optional[VehicleState],
-                  ctx: StepContext) -> float:
-    """Car-following acceleration for one step, clipped to the global bounds."""
+def baseline_step(vehicle: VehicleState, leader: Optional[VehicleState], v_des: float,
+                  cuts: tuple[tuple[float, float], ...], dt: float, bounds: Bounds,
+                  projected: Optional[tuple[float, float]],
+                  line_gap: Optional[float]) -> float:
+    """Car-following acceleration for one step, clipped to the global bounds.
+
+    Beyond the route leader it follows the desired speed ``v_des``, brakes
+    for the route's limit drops past the vehicle (``cuts``, each (position,
+    lower limit)), follows ``projected``, the (gap, speed) of the projected
+    cross-route leader inside a shared-lane merging zone, and, for a vehicle
+    that must yield at the merging-zone line, stops at ``line_gap``, its
+    distance to the stop point. Either of the last two is None when absent."""
     v = vehicle.v
-    v_des = ctx.v_des
     u = free = MAX_ACCEL * (1.0 - (v / (0.1 if 0.1 > v_des else v_des)) ** SPEED_EXPONENT)
     if leader is not None:
         w = free - _idm_brake(v, leader.s - vehicle.s, v - leader.v)
         if w < u:
             u = w
-    if ctx.projected is not None:
-        gap, v_lead = ctx.projected
+    if projected is not None:
+        gap, v_lead = projected
         w = free - _idm_brake(v, gap, v - v_lead)
         if w < u:
             u = w
-    if ctx.limit_cuts:
+    if cuts:
+        s = vehicle.s
         b = COMFORT_DECEL
-        dt = ctx.dt
-        for dist, lim in ctx.limit_cuts:
-            if v > lim + 1e-9 and dist <= (v * v - lim * lim) / (2.0 * b) + v * dt:
+        for pos, lim in cuts:
+            if v > lim + 1e-9 and pos - s <= (v * v - lim * lim) / (2.0 * b) + v * dt:
                 w = (lim - v) / dt
                 if not w > -b:     # max(-b, w)
                     w = -b
                 if w < u:
                     u = w
-    if ctx.line_gap is not None:
-        gap = ctx.line_gap
-        w = free - _idm_brake(v, 0.01 if 0.01 > gap else gap, v)
+    if line_gap is not None:
+        w = free - _idm_brake(v, 0.01 if 0.01 > line_gap else line_gap, v)
         if w < u:
             u = w
-    bounds = ctx.bounds
     u_min = bounds.u_min
     if u_min > u:
         u = u_min
@@ -341,13 +331,14 @@ class _Route:
     """Per-route lookups built once, the route's vehicles front first, and
     its arrival times (``arrival_times``) not yet spawned, next first.
 
-    ``cells[bisect_right(edges, s)]`` is (zone column, the slots whose
-    window [cz_start, mz_start + mz_length) holds s, the first slot whose
-    [cz_start, mz_start) holds s or None, ``spec.limit_at(s)``, the index
-    ``bisect_right(cuts, (s, inf))`` of the first limit drop past s). The
-    zone column is the index of the first slot whose window holds s, or 0.
-    Every window end and segment join is an edge, so the lookup matches
-    each comparison, the limit and the cut index at every float.
+    ``cuts`` holds the route's limit drops, each (position, lower limit),
+    in order. ``cells[bisect_right(edges, s)]`` is (zone column, the slots
+    whose window [cz_start, mz_start + mz_length) holds s, the first slot
+    whose [cz_start, mz_start) holds s or None, ``spec.limit_at(s)``, the
+    drops past s, ``cuts[bisect_right(cuts, (s, inf)):]``). The zone column
+    is the index of the first slot whose window holds s, or 0. Every window
+    end and segment join is an edge, so the lookup matches each comparison,
+    the limit and the drops at every float.
     """
 
     def __init__(self, spec: RouteSpec, slots: list[_Slot], arrivals: list[float]):
@@ -371,7 +362,7 @@ class _Route:
                 inside,
                 next((sl for sl, lo, mz, _ in wins if lo <= e < mz), None),
                 spec.limit_at(e),
-                bisect_right(self.cuts, (e, math.inf))))
+                self.cuts[bisect_right(self.cuts, (e, math.inf)):]))
 
 
 @dataclass(slots=True)
@@ -522,28 +513,24 @@ class Simulation:
                 sl.mz_v = [row[1] for row in mz]
         return located
 
-    def _context(self, rt: _Route, cell: tuple, slot: Optional[_Slot], s: float, v: float,
-                 x: float, ahead: int, yielding: bool) -> StepContext:
-        i = cell[4]     # the first limit drop past s
-        cuts = tuple([(pos - s, lim) for pos, lim in rt.cuts[i:]]) if i < len(rt.cuts) else ()
+    def _context(self, slot: _Slot, s: float, v: float, x: float, ahead: int,
+                 yielding: bool) -> tuple[Optional[tuple[float, float]], Optional[float]]:
+        """``baseline_step``'s (projected, line_gap) for a vehicle inside
+        ``slot``'s window."""
         projected = None
         blocked = False
-        line_gap = None
-        if slot is not None:
-            if slot.same_lane:
-                if ahead >= 0:   # nearest peer ahead inside the MZ, slowest of equals
-                    ox, ov = min(zip(slot.mz_x[ahead:], slot.mz_v[ahead:]))
-                    projected = (ox - x, ov)
-                if yielding and not slot.ap.priority and x < 0.0:
-                    blocked = self._same_lane_blocked(v, x, slot.others)
-            elif yielding and x < 0.0:
-                if slot.ap.priority:
-                    blocked = any(0.0 <= ox and not opri for ox, _, opri in slot.others)
-                else:
-                    blocked = self._conflict_blocked(v, x, slot)
-            if blocked:
-                line_gap = slot.stop_at - s
-        return StepContext(cell[3], self.dt, self.bounds, cuts, projected, line_gap)
+        if slot.same_lane:
+            if ahead >= 0:   # nearest peer ahead inside the MZ, slowest of equals
+                ox, ov = min(zip(slot.mz_x[ahead:], slot.mz_v[ahead:]))
+                projected = (ox - x, ov)
+            if yielding and not slot.ap.priority and x < 0.0:
+                blocked = self._same_lane_blocked(v, x, slot.others)
+        elif yielding and x < 0.0:
+            if slot.ap.priority:
+                blocked = any(0.0 <= ox and not opri for ox, _, opri in slot.others)
+            else:
+                blocked = self._conflict_blocked(v, x, slot)
+        return projected, (slot.stop_at - s if blocked else None)
 
     def _same_lane_blocked(self, v: float, x: float, others) -> bool:
         tau_me = -x / max(v, 0.3)
@@ -642,8 +629,11 @@ class Simulation:
                         ahead = -1
                 passage = passages.get(vid) if optimal else None
                 if passage is None:
-                    u = baseline_step(st, leader,
-                                      self._context(rt, cell, slot, s, v, x, ahead, not optimal))
+                    projected = line_gap = None
+                    if slot is not None:
+                        projected, line_gap = self._context(slot, s, v, x, ahead, not optimal)
+                    u = baseline_step(st, leader, cell[3], cell[4], dt, bounds,
+                                      projected, line_gap)
                 elif passage.phase == "mz":
                     v_hold = passage.plan.v_hold
                     u = (v_hold - v) / dt

@@ -456,21 +456,21 @@ def _idm_brake(v: float, gap: float, dv: float) -> float:
     return a * (s_star / max(gap, 0.1)) ** 2
 
 
-def baseline_step(vehicle, leader, ctx) -> float:
+def baseline_step(vehicle, leader, v_des, cuts, dt, bounds, projected, line_gap) -> float:
     v = vehicle.v
-    u = free = MAX_ACCEL * (1.0 - (v / max(ctx.v_des, 0.1)) ** SPEED_EXPONENT)
+    u = free = MAX_ACCEL * (1.0 - (v / max(v_des, 0.1)) ** SPEED_EXPONENT)
     if leader is not None:
         u = min(u, free - _idm_brake(v, leader.s - vehicle.s, v - leader.v))
-    if ctx.projected is not None:
-        gap, v_lead = ctx.projected
+    if projected is not None:
+        gap, v_lead = projected
         u = min(u, free - _idm_brake(v, gap, v - v_lead))
     b = COMFORT_DECEL
-    for dist, lim in ctx.limit_cuts:
-        if v > lim + 1e-9 and dist <= (v * v - lim * lim) / (2.0 * b) + v * ctx.dt:
-            u = min(u, max(-b, (lim - v) / ctx.dt))
-    if ctx.line_gap is not None:
-        u = min(u, free - _idm_brake(v, max(ctx.line_gap, 0.01), v))
-    return min(max(u, ctx.bounds.u_min), ctx.bounds.u_max)
+    for pos, lim in cuts:
+        if v > lim + 1e-9 and pos - vehicle.s <= (v * v - lim * lim) / (2.0 * b) + v * dt:
+            u = min(u, max(-b, (lim - v) / dt))
+    if line_gap is not None:
+        u = min(u, free - _idm_brake(v, max(line_gap, 0.01), v))
+    return min(max(u, bounds.u_min), bounds.u_max)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from corridorsim.core import Bounds, VehicleState
-from corridorsim.sim import StepContext, baseline_step, optimal_step
+from corridorsim.sim import baseline_step, optimal_step
 from corridorsim.trajectory import (
     ArcSegment,
     EvaluationWindowError,
@@ -151,9 +151,8 @@ def test_baseline_step_keeps_signed_zeros():
         z = [-0.0 if bits >> i & 1 else 0.0 for i in range(2)]
         bounds = Bounds(u_min=z[0], u_max=z[1], v_min=0.0, v_max=30.0)
         for leader in (None, VehicleState(2, "main", s=50.0, v=10.0)):
-            ctx = StepContext(v_des=10.0, dt=0.1, bounds=bounds)
-            assert same(baseline_step(veh, leader, ctx),
-                        oracles.baseline_step(veh, leader, ctx)), bits
+            args = (veh, leader, 10.0, (), 0.1, bounds, None, None)
+            assert same(baseline_step(*args), oracles.baseline_step(*args)), bits
 
 
 def test_baseline_step_matches_min_max_reference():
@@ -171,14 +170,13 @@ def test_baseline_step_matches_min_max_reference():
         if rng.random() < 0.7:
             leader = VehicleState(2, "main", s=s + draw(rng, -1.0, 80.0, 0.2, 0.01),
                                   v=draw(rng, 0.0, 25.0, 0.2))
-        cuts = tuple((draw(rng, -5.0, 150.0, 0.1), draw(rng, 0.0, 20.0, 0.1))
+        # each drop at the absolute position s + distance
+        cuts = tuple((s + draw(rng, -5.0, 150.0, 0.1), draw(rng, 0.0, 20.0, 0.1))
                      for _ in range(rng.randrange(3)))
         projected = None
         if rng.random() < 0.3:
             projected = (draw(rng, -1.0, 60.0, 0.2, 0.01), draw(rng, 0.0, 20.0, 0.2))
         line_gap = draw(rng, -1.0, 30.0, 0.3, 0.01) if rng.random() < 0.4 else None
-        ctx = StepContext(v_des=draw(rng, -1.0, 20.0, 0.1, 0.01),
-                          dt=rng.choice((0.1, 0.05)), bounds=bounds, limit_cuts=cuts,
-                          projected=projected, line_gap=line_gap)
-        assert same(baseline_step(veh, leader, ctx),
-                    oracles.baseline_step(veh, leader, ctx))
+        v_des = draw(rng, -1.0, 20.0, 0.1, 0.01)
+        args = (veh, leader, v_des, cuts, rng.choice((0.1, 0.05)), bounds, projected, line_gap)
+        assert same(baseline_step(*args), oracles.baseline_step(*args))

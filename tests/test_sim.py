@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from corridorsim.coordinator import OccupancyInterval, occupancy_check
-from corridorsim.core import Bounds, VehicleState, load_config, load_config_file
-from corridorsim import metrics, sim
+from corridorsim.core import Bounds, VehicleState, load_config, load_config_file, serialize_config
+from corridorsim import cli, metrics, sim
 from corridorsim.sim import (
-    StepContext,
     arrival_times,
     baseline_step,
     optimal_step,
@@ -84,21 +83,20 @@ def test_vehicle_ids_increase_in_spawn_order():
 BOUNDS = Bounds(u_min=-3.0, u_max=1.5, v_min=0.0, v_max=17.8816)
 
 
-def ctx(**kw):
-    base = dict(v_des=17.8816, dt=0.1, bounds=BOUNDS)
-    base.update(kw)
-    return StepContext(**base)
+def follow(veh, leader=None, cuts=(), line_gap=None):
+    """``baseline_step`` at the Table-1 desired speed, dt and bounds."""
+    return baseline_step(veh, leader, 17.8816, cuts, 0.1, BOUNDS, None, line_gap)
 
 
 def test_free_road_at_desired_speed_gives_zero_accel():
     veh = VehicleState(vehicle_id=1, route="main", s=0.0, v=17.8816)
-    assert baseline_step(veh, None, ctx()) == pytest.approx(0.0, abs=1e-12)
+    assert follow(veh) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stopped_leader_two_meters_ahead_forces_hard_braking():
     veh = VehicleState(vehicle_id=1, route="main", s=100.0, v=10.0)
     leader = VehicleState(vehicle_id=2, route="main", s=102.0, v=0.0)
-    u = baseline_step(veh, leader, ctx())
+    u = follow(veh, leader)
     assert u <= -sim.COMFORT_DECEL
 
 
@@ -106,16 +104,14 @@ def test_limit_drop_braking_engages_inside_stopping_distance():
     veh = VehicleState(vehicle_id=1, route="main", s=0.0, v=17.8816)
     v_low = 8.314944
     # outside the envelope: no reaction yet
-    far = ctx(limit_cuts=((60.0, v_low),))
-    assert baseline_step(veh, None, far) == pytest.approx(0.0, abs=1e-12)
+    assert follow(veh, cuts=((60.0, v_low),)) == pytest.approx(0.0, abs=1e-12)
     # just inside (v^2 - vL^2)/2b = 41.76 m: braking at comfort rate
-    near = ctx(limit_cuts=((41.0, v_low),))
-    assert baseline_step(veh, None, near) == pytest.approx(-3.0)
+    assert follow(veh, cuts=((41.0, v_low),)) == pytest.approx(-3.0)
 
 
 def test_yield_blocked_vehicle_tracks_virtual_line_leader():
     veh = VehicleState(vehicle_id=1, route="main", s=340.0, v=8.0)
-    u = baseline_step(veh, None, ctx(line_gap=9.8))
+    u = follow(veh, line_gap=9.8)
     assert u < -1.0   # strong deceleration approaching the stop point
 
 
@@ -320,6 +316,29 @@ def test_outputs_match_golden_digest(tmp_path, mode, seed):
     assert h.hexdigest() == GOLDEN_60S[(mode, seed)]
 
 
+# sha256 over trace, schedule and events bytes of ``run`` on Table-1 cut to
+# 300 s, seeds 1-3 in ascending order: the population the corridor workloads
+# of benchmarks/run.py time, past zone 2's spillback that 60 s never reaches
+GOLDEN_300S = {
+    "optimal": "6f4252de1d585d71f06af52888470466b05f57d61c44114231c27257815a1a64",
+    "baseline": "15078122be7ceabe5638e6b4480c8d2f4be14a688010ab733609a5936a217cbc",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_300S))
+def test_run_verb_matches_benchmark_digest(tmp_path, mode):
+    cfg_path = tmp_path / "table1_300s.yaml"
+    cfg_path.write_text(serialize_config(table1(horizon=300.0)))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--mode", mode,
+                     "--seeds", "1..3", "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for kind, ext in (("trace", "csv"), ("schedule", "csv"), ("events", "json")):
+            h.update((out / f"{kind}_{mode}_{seed}.{ext}").read_bytes())
+    assert h.hexdigest() == GOLDEN_300S[mode]
+
+
 def _off_grid_table1():
     """Table-1 with zone geometry off the binary grid, so the window
     comparisons round."""
@@ -347,7 +366,7 @@ def test_route_cells_match_window_comparisons(cfg):
                 probes.append(s)
                 s = math.nextafter(s, math.inf)
         for s in probes:
-            column, frames, entrant, limit, cut = rt.cells[bisect.bisect_right(rt.edges, s)]
+            column, frames, entrant, limit, cuts = rt.cells[bisect.bisect_right(rt.edges, s)]
             assert column == next((z.index for z, ap in bindings
                                    if ap.cz_start <= s < ap.mz_start + z.mz_length), 0)
             assert [sl.zone.index for sl in frames] == [
@@ -355,7 +374,7 @@ def test_route_cells_match_window_comparisons(cfg):
             assert (entrant and entrant.zone.index) == next(
                 (z.index for z, ap in bindings if ap.cz_start <= s < ap.mz_start), None)
             assert limit == rt.spec.limit_at(s)
-            assert cut == bisect.bisect_right(rt.cuts, (s, math.inf))
+            assert cuts == rt.cuts[bisect.bisect_right(rt.cuts, (s, math.inf)):]
 
 
 def test_different_seed_changes_the_trace():
