@@ -1,23 +1,2 @@
 """Deterministic corridor simulator with two-level coordinated merging
 and a desk-scale V2X message fabric."""
-
-from corridorsim.core import (
-    Bounds,
-    ConfigError,
-    CorridorConfig,
-    load_config,
-    load_config_file,
-    serialize_config,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Bounds",
-    "ConfigError",
-    "CorridorConfig",
-    "load_config",
-    "load_config_file",
-    "serialize_config",
-    "__version__",
-]

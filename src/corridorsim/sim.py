@@ -166,17 +166,17 @@ def baseline_step(vehicle: VehicleState, leader: Optional[VehicleState], v_des: 
     return u_max if u_max < u else u
 
 
-def _time_to_cover(dist: float, v: float, accel: float, v_cap: float) -> float:
-    """Time to cover dist starting at v, accelerating at accel up to v_cap."""
+def _time_to_cover(dist: float, v: float, v_cap: float) -> float:
+    """Time to cover dist starting at v, accelerating at MAX_ACCEL up to v_cap."""
     if dist <= 0:
         return 0.0
     v = min(v, v_cap)
-    if accel <= 0 or v >= v_cap - 1e-9:
+    if v >= v_cap - 1e-9:
         return dist / max(v_cap, 0.1)
-    d_acc = (v_cap * v_cap - v * v) / (2.0 * accel)
+    d_acc = (v_cap * v_cap - v * v) / (2.0 * MAX_ACCEL)
     if dist <= d_acc:
-        return (-v + math.sqrt(v * v + 2.0 * accel * dist)) / accel
-    return (v_cap - v) / accel + (dist - d_acc) / v_cap
+        return (-v + math.sqrt(v * v + 2.0 * MAX_ACCEL * dist)) / MAX_ACCEL
+    return (v_cap - v) / MAX_ACCEL + (dist - d_acc) / v_cap
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,9 @@ class _Slot:
     route's (x, v, priority) at every s in [cz_start, mz_start +
     mz_length), the window of the trace's zone column, with x = s - mz_start;
     ``others``, the peers' rows (yielding only); ``mz_x``/``mz_v``, the
-    peers inside the MZ sorted by x (shared lanes only)."""
+    peers inside the MZ sorted by (x, v) (shared lanes only): the first
+    entry past a follower's x is its nearest MZ leader, the slowest of any
+    that share that x."""
 
     def __init__(self, zone: ConflictZoneSpec, ap: Approach, config: CorridorConfig):
         self.zone = zone
@@ -506,31 +508,25 @@ class Simulation:
             if not optimal:
                 sl.others = [row for peer in sl.peers for row in peer.rows]
             if sl.same_lane:
-                # stable: among equal x the first in scan order comes first
-                mz = sorted((row for peer in sl.peers for row in peer.rows if 0.0 <= row[0]),
-                            key=lambda row: row[0])
+                mz = sorted(row for peer in sl.peers for row in peer.rows if 0.0 <= row[0])
                 sl.mz_x = [row[0] for row in mz]
                 sl.mz_v = [row[1] for row in mz]
         return located
 
-    def _context(self, slot: _Slot, s: float, v: float, x: float, ahead: int,
-                 yielding: bool) -> tuple[Optional[tuple[float, float]], Optional[float]]:
-        """``baseline_step``'s (projected, line_gap) for a vehicle inside
-        ``slot``'s window."""
-        projected = None
+    def _line_gap(self, slot: _Slot, s: float, v: float, x: float,
+                  yielding: bool) -> Optional[float]:
+        """``baseline_step``'s line_gap for a vehicle inside ``slot``'s
+        window: the distance to the stop point when it must yield, else
+        None."""
         blocked = False
-        if slot.same_lane:
-            if ahead >= 0:   # nearest peer ahead inside the MZ, slowest of equals
-                ox, ov = min(zip(slot.mz_x[ahead:], slot.mz_v[ahead:]))
-                projected = (ox - x, ov)
-            if yielding and not slot.ap.priority and x < 0.0:
-                blocked = self._same_lane_blocked(v, x, slot.others)
-        elif yielding and x < 0.0:
-            if slot.ap.priority:
+        if yielding and x < 0.0:
+            if slot.same_lane:
+                blocked = not slot.ap.priority and self._same_lane_blocked(v, x, slot.others)
+            elif slot.ap.priority:
                 blocked = any(0.0 <= ox and not opri for ox, _, opri in slot.others)
             else:
                 blocked = self._conflict_blocked(v, x, slot)
-        return projected, (slot.stop_at - s if blocked else None)
+        return slot.stop_at - s if blocked else None
 
     def _same_lane_blocked(self, v: float, x: float, others) -> bool:
         tau_me = -x / max(v, 0.3)
@@ -548,7 +544,7 @@ class Simulation:
     def _conflict_blocked(self, v: float, x: float, slot: _Slot) -> bool:
         if any(0.0 <= ox for ox, _, _ in slot.others):
             return True
-        crossing = _time_to_cover(-x + slot.zone.mz_length, v, MAX_ACCEL, slot.v_cap)
+        crossing = _time_to_cover(-x + slot.zone.mz_length, v, slot.v_cap)
         window = max(YIELD_GAP, crossing + YIELD_CROSS_MARGIN)
         for ox, ov, _ in slot.others:
             if ox < 0.0 and -ox / max(ov, 0.3) < window:
@@ -606,8 +602,9 @@ class Simulation:
                  ceiling, rows: list[tuple]) -> None:
         """Every control from the snapshot, in route order, each followed by
         its trace row in ``rows``. In optimal mode a headway governor caps
-        the control behind the route leader and behind the projected MZ peer
-        (whose control is unknown: full braking is assumed). It is meant to
+        the control behind the route leader and behind the projected MZ peer,
+        the one the IDM follows (whose control is unknown: full braking is
+        assumed). It is meant to
         idle in correctly scheduled traffic and bind only on degraded plans."""
         dt = self.dt
         bounds = self.bounds
@@ -622,16 +619,16 @@ class Simulation:
                 s, v, vid = st.s, st.v, st.vehicle_id
                 slot = cell[1][0] if cell[1] else None
                 x = s - slot.ap.mz_start if slot is not None else 0.0
-                ahead = -1      # index of the projected MZ peer, if any
+                projected = None    # (gap, speed) of the nearest MZ peer ahead
                 if slot is not None and slot.same_lane:
-                    ahead = bisect_right(slot.mz_x, x)
-                    if ahead == len(slot.mz_x):
-                        ahead = -1
+                    i = bisect_right(slot.mz_x, x)
+                    if i < len(slot.mz_x):
+                        projected = (slot.mz_x[i] - x, slot.mz_v[i])
                 passage = passages.get(vid) if optimal else None
                 if passage is None:
-                    projected = line_gap = None
+                    line_gap = None
                     if slot is not None:
-                        projected, line_gap = self._context(slot, s, v, x, ahead, not optimal)
+                        line_gap = self._line_gap(slot, s, v, x, not optimal)
                     u = baseline_step(st, leader, cell[3], cell[4], dt, bounds,
                                       projected, line_gap)
                 elif passage.phase == "mz":
@@ -657,8 +654,8 @@ class Simulation:
                     cap = math.inf
                     if leader is not None:
                         cap = ceiling(leader.s - s, v, leader.v, u_lead)
-                    if ahead >= 0:
-                        c = ceiling(slot.mz_x[ahead] - x, v, slot.mz_v[ahead], u_min)
+                    if projected is not None:
+                        c = ceiling(projected[0], v, projected[1], u_min)
                         if c < cap:     # min(cap, c)
                             cap = c
                     if u > cap:

@@ -1,23 +1,2 @@
 """Connectivity stack: BSM codec, topic broker over framed sockets, trace
 replay publisher, and the head-unit client."""
-
-from corridorsim.v2x.bsm import (
-    BsmFrame,
-    FrameError,
-    MSG_BSM,
-    MSG_SPAT,
-    decode_bsm,
-    encode_bsm,
-)
-from corridorsim.v2x.broker import Broker, BrokerClient
-
-__all__ = [
-    "BsmFrame",
-    "FrameError",
-    "MSG_BSM",
-    "MSG_SPAT",
-    "decode_bsm",
-    "encode_bsm",
-    "Broker",
-    "BrokerClient",
-]

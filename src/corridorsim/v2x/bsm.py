@@ -11,7 +11,7 @@ offset size  type    field
 9      4     i32     longitude, 1e-7 degree units
 13     2     u16     speed, 0.02 m/s units
 15     4     i32     merging time, milliseconds
-19     2     u16     distance to coordination zone entry, decimeters
+19     2     u16     distance to the merging-zone line, decimeters
 21     2     u16     coordination zone id, 0 through 3
 23     1     u8      sequence number
 24     4     u32     frame timestamp, milliseconds

@@ -4,13 +4,15 @@ The unit models one ghost vehicle driving the configured main route alongside
 the broadcast traffic.  Each tick it
 
 1. integrates ego distance at the last commanded speed,
-2. locates the current coordination zone from hard-coded route geometry,
+2. locates the current coordination zone on the config's main route
+   (``config.zones_on``),
 3. filters buffered frames to that zone (the buffer holds each vehicle's
    latest frame; a frame stamped more than ``STALE_AFTER`` before the tick
    is dropped, with the buffer swept only on ticks where such a frame can
    be in it),
-4. picks the frame immediately ahead by distance-to-zone as putative leader
-   (nearest larger distance below ego's own; ties break on lower vehicle id),
+4. picks the frame immediately ahead by distance to the MZ line as putative
+   leader (nearest larger distance below ego's own; ties break on lower
+   vehicle id),
 5. schedules its merging time with ``coordinator.merging_time``, the
    recursion the zone coordinators run: behind the leader's broadcast
    merging time, or from its own kinematics with no leader,
@@ -158,7 +160,7 @@ class HeadUnitCore:
         return None
 
     def _leader(self, zone: ConflictZoneSpec, ap: Approach) -> BsmFrame | None:
-        """Closest frame strictly ahead by distance-to-zone; ties on lower id.
+        """Closest frame strictly ahead by distance to the MZ line; ties on lower id.
 
         The scan is order independent: the (distance, id) key is total, so
         frame arrival order within a tick cannot change the choice.

@@ -420,6 +420,44 @@ def test_yielding_vehicle_stops_within_half_meter_of_the_line():
     assert line - 0.5 <= s_rest < line
 
 
+@pytest.mark.parametrize("mode", ["baseline", "optimal"])
+def test_tied_mz_peers_project_the_slower_one(monkeypatch, mode):
+    # two cross-route peers share one x inside the MZ, the faster one on the
+    # route scanned first; the IDM and the governor both read the slower one
+    cfg = dataclasses.replace(load_config(THREE_WAY_SHARED_LANE), mode=mode)
+    s_run = sim.Simulation(cfg)
+    for vid, (rt, s, v) in enumerate(zip(s_run.routes, [352.0, 355.0, 355.0], [6.0, 8.0, 3.0]),
+                                     start=1):
+        rt.order.append(VehicleState(vehicle_id=vid, route=rt.name, s=s, v=v))
+    follower = s_run.routes[0].order[0]
+    located = s_run._snapshot(0.0, mode == "optimal")
+    slot = s_run.routes[0].slots[0]
+    assert list(zip(slot.mz_x, slot.mz_v)) == [(5.0, 3.0), (5.0, 8.0)]
+
+    projected = []
+    step = sim.baseline_step
+
+    def spy_step(vehicle, leader, v_des, cuts, dt, bounds, proj, line_gap):
+        if vehicle is follower:
+            projected.append(proj)
+        return step(vehicle, leader, v_des, cuts, dt, bounds, proj, line_gap)
+
+    ceiling = s_run._headway_ceiling()
+    ceilings = []
+
+    def spy_ceiling(gap, v_f, v_lead, u_lead):
+        ceilings.append((gap, v_f, v_lead, u_lead))
+        return ceiling(gap, v_f, v_lead, u_lead)
+
+    monkeypatch.setattr(sim, "baseline_step", spy_step)
+    s_run._control(0.0, mode == "optimal", located, spy_ceiling, [])
+    assert projected == [(3.0, 3.0)]
+    if mode == "optimal":   # the follower is the only vehicle with one ahead
+        assert ceilings == [(3.0, follower.v, 3.0, cfg.bounds.u_min)]
+    else:
+        assert ceilings == []
+
+
 def test_released_schedule_entries_record_actual_exit_times():
     res = sim.run(table1(mode="optimal", horizon=120.0))
     finished = [rec for rec in res.schedule if rec.tf > rec.tm]
@@ -732,4 +770,37 @@ zones:
     approaches:
       - {route: main, lane: shared_main, mz_entry: 350 m, priority: false}
       - {route: side, lane: side_lane, mz_entry: 350 m, priority: true}
+"""
+
+# three routes merge into one lane: two can hold MZ peers at one x ahead of
+# the third
+THREE_WAY_SHARED_LANE = """
+seed: 1
+dt: 0.1 s
+horizon: 10 s
+main_route: a
+bounds: {u_min: -3 m/s2, u_max: 1.5 m/s2, v_min: 0 m/s, v_max: 17.8816 m/s}
+routes:
+  a:
+    flow: 0 vph
+    segments:
+      - {length: 500 m, limit: 17.8816 m/s}
+  b:
+    flow: 0 vph
+    segments:
+      - {length: 500 m, limit: 17.8816 m/s}
+  c:
+    flow: 0 vph
+    segments:
+      - {length: 500 m, limit: 17.8816 m/s}
+zones:
+  - z: 1
+    kind: speed_reduction
+    length: 100 m
+    mz_length: 20 m
+    mz_speed: 8 m/s
+    approaches:
+      - {route: a, lane: one, mz_entry: 350 m, priority: false}
+      - {route: b, lane: one, mz_entry: 350 m, priority: true}
+      - {route: c, lane: one, mz_entry: 350 m, priority: false}
 """
